@@ -140,10 +140,6 @@ Status Arena::validate_free_list(cxlsim::Accessor& acc, std::uint64_t base,
   // never have more blocks than this; a walk longer than the bound has a
   // cycle even if the address-order check were somehow defeated.
   const std::uint64_t max_blocks = header.objects_size / kCacheLineSize;
-  // Lock-free scan: like open()'s optimistic probe, racing a locked
-  // writer's transient dirty window is benign (attach is a structural
-  // sanity check, not a consistency point).
-  cxlsim::CoherenceChecker::ToleranceScope tolerate_optimistic_scan;
   std::uint64_t at = header.free_head;
   std::uint64_t prev = 0;
   std::uint64_t steps = 0;
@@ -194,11 +190,6 @@ Result<Arena> Arena::attach(cxlsim::Accessor& acc, std::uint64_t base,
   if (header.version != kVersion) {
     return status::invalid_argument("arena version mismatch");
   }
-  if (Status fsck = validate_free_list(acc, base, header); !fsck.is_ok()) {
-    CMPI_OBS_INSTANT("arena.fsck_failed");
-    CMPI_OBS_FLIGHT("arena: attach found a corrupt free list");
-    return fsck;
-  }
   auto index = MultilevelHash::create(header.levels, header.level1_buckets);
   if (!index.is_ok()) {
     return index.status();
@@ -207,6 +198,29 @@ Result<Arena> Arena::attach(cxlsim::Accessor& acc, std::uint64_t base,
       BakeryLock::attach(acc, base + header.lock_offset);
   if (!lock_view.is_ok()) {
     return lock_view.status();
+  }
+  const BakeryLock& lock = lock_view.value();
+  if (participant >= lock.max_participants()) {
+    return status::invalid_argument(
+        "arena attach: participant " + std::to_string(participant) +
+        " outside the lock's " + std::to_string(lock.max_participants()) +
+        " slots");
+  }
+  // The free list is only consistent under the lock: a peer allocating
+  // right now may have unlinked the head block the first read saw. Re-read
+  // the header and walk with the lock held, like create/destroy do.
+  if (Status locked =
+          lock.lock_for_setup(acc, participant, kAttachLockTimeout);
+      !locked.is_ok()) {
+    return locked;
+  }
+  read_pod(acc, base, header);
+  const Status fsck = validate_free_list(acc, base, header);
+  lock.unlock(acc, participant);
+  if (!fsck.is_ok()) {
+    CMPI_OBS_INSTANT("arena.fsck_failed");
+    CMPI_OBS_FLIGHT("arena: attach found a corrupt free list");
+    return fsck;
   }
   return Arena(acc, base, participant, incarnation, header,
                std::move(index).value(), std::move(lock_view).value());

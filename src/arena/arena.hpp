@@ -85,7 +85,11 @@ class Arena {
   /// on-pool free list with a bounded walk (block count can never exceed
   /// objects_size / cacheline) and fails with kCorruptPool for a cyclic,
   /// out-of-bounds or magic-less chain — an unbounded walk would hang on
-  /// exactly the corruption a crashed writer leaves behind.
+  /// exactly the corruption a crashed writer leaves behind. The walk runs
+  /// under the arena lock, so a peer mid-allocation is never mistaken for
+  /// corruption; waiting longer than kAttachLockTimeout for the lock (a
+  /// holder died) fails with kTimedOut. `participant` must be below the
+  /// arena's max_participants (kInvalidArgument otherwise).
   static Result<Arena> attach(cxlsim::Accessor& acc, std::uint64_t base,
                               std::size_t participant,
                               std::uint64_t incarnation = 0);
@@ -167,6 +171,8 @@ class Arena {
 
   /// Maximum object name length (NUL excluded).
   static constexpr std::size_t kMaxNameLen = 47;
+  /// Longest attach() waits for the arena lock before giving up.
+  static constexpr std::chrono::milliseconds kAttachLockTimeout{10000};
 
  private:
   // ---- On-pool structures (trivially copyable, fixed layout) ----
@@ -218,9 +224,7 @@ class Arena {
         std::uint64_t incarnation, const Header& header, MultilevelHash index,
         BakeryLock lock_view);
 
-  /// Bounded structural scan of the free list (no lock; callers are either
-  /// the single format-time writer or attach, which tolerates a transient
-  /// dirty window the same way open()'s optimistic probe does).
+  /// Bounded structural scan of the free list. Caller holds the lock.
   static Status validate_free_list(cxlsim::Accessor& acc, std::uint64_t base,
                                    const Header& header);
 

@@ -97,6 +97,23 @@ Status BakeryLock::lock_for(cxlsim::Accessor& acc, std::size_t participant,
                             std::chrono::milliseconds timeout,
                             const DeadPredicate& peer_dead,
                             const std::function<void()>& beat) const {
+  Status locked = acquire_for(acc, participant, timeout, peer_dead, beat);
+  if (locked.is_ok()) {
+    acc.fault_sync_point("lock-acquired");
+  }
+  return locked;
+}
+
+Status BakeryLock::lock_for_setup(cxlsim::Accessor& acc,
+                                  std::size_t participant,
+                                  std::chrono::milliseconds timeout) const {
+  return acquire_for(acc, participant, timeout, {}, {});
+}
+
+Status BakeryLock::acquire_for(cxlsim::Accessor& acc, std::size_t participant,
+                               std::chrono::milliseconds timeout,
+                               const DeadPredicate& peer_dead,
+                               const std::function<void()>& beat) const {
   CMPI_EXPECTS(participant < max_participants_);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   // Doorway, as in lock(): the scan is bounded, only the waits below can
@@ -168,7 +185,6 @@ Status BakeryLock::lock_for(cxlsim::Accessor& acc, std::size_t participant,
       wait_tick(j);
     }
   }
-  acc.fault_sync_point("lock-acquired");
   return Status::ok();
 }
 

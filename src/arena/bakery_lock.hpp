@@ -69,6 +69,14 @@ class BakeryLock {
                                 const DeadPredicate& peer_dead,
                                 const std::function<void()>& beat = {}) const;
 
+  /// lock_for() with no dead-peer verdicts and without the
+  /// "lock-acquired" fault sync point, for set-up work such as
+  /// Arena::attach's free-list check: a fault plan's lock-acquired
+  /// arrivals keep counting only the acquisitions a rank's program makes.
+  [[nodiscard]] Status lock_for_setup(cxlsim::Accessor& acc,
+                                      std::size_t participant,
+                                      std::chrono::milliseconds timeout) const;
+
   /// Release. Precondition: `participant` holds the lock.
   ///
   /// Releasing is a publish point: data written inside the critical
@@ -136,6 +144,12 @@ class BakeryLock {
 
   BakeryLock(std::uint64_t base, std::size_t max_participants)
       : base_(base), max_participants_(max_participants) {}
+
+  /// lock_for's doorway and waits, without the sync point.
+  Status acquire_for(cxlsim::Accessor& acc, std::size_t participant,
+                     std::chrono::milliseconds timeout,
+                     const DeadPredicate& peer_dead,
+                     const std::function<void()>& beat) const;
 
   [[nodiscard]] std::uint64_t slot(std::size_t participant) const noexcept {
     return base_ + kHeaderBytes + participant * kSlotBytes;

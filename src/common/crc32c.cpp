@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "common/align.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define CMPI_CRC32C_X86 1
@@ -108,6 +110,77 @@ std::uint32_t copy_and_crc32c_sw(std::byte* dst, const std::byte* src,
 
 #if defined(CMPI_CRC32C_X86)
 
+namespace {
+
+// One crc32 instruction has a latency of three cycles but a throughput of
+// one per cycle, so a single dependency chain runs at a third of the
+// unit's rate. Long inputs are cut into blocks of three kLane-byte lanes
+// checksummed by independent chains; the lane CRCs are then joined with
+// the CRC-combine identity crc(A || B) = shift_|B|(crc(A)) ^ crc(B), where
+// crc(B) starts from a zero register and shift_n appends n zero bytes.
+constexpr std::size_t kLane = kCrc32cLane;
+static_assert(is_pow2(kLane));
+
+using Gf2Matrix = std::array<std::uint32_t, 32>;
+
+/// Product of a 32x32 GF(2) matrix (column i = image of bit i) and `vec`.
+std::uint32_t gf2_times(const Gf2Matrix& mat, std::uint32_t vec) noexcept {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; vec != 0; ++i, vec >>= 1) {
+    if (vec & 1u) {
+      sum ^= mat[i];
+    }
+  }
+  return sum;
+}
+
+Gf2Matrix gf2_square(const Gf2Matrix& mat) noexcept {
+  Gf2Matrix square{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    square[i] = gf2_times(mat, mat[i]);
+  }
+  return square;
+}
+
+/// Byte-indexed tables of the operator that feeds kLane zero bytes through
+/// the (reflected) CRC register, built as zlib's crc32_combine does: start
+/// from the one-zero-bit operator and square it up to 8 * kLane bits.
+std::array<std::uint32_t, 4 * 256> build_lane_shift() noexcept {
+  Gf2Matrix op{};
+  op[0] = kPoly;
+  for (std::size_t i = 1; i < 32; ++i) {
+    op[i] = 1u << (i - 1);
+  }
+  for (std::size_t bits = 1; bits < 8 * kLane; bits <<= 1) {
+    op = gf2_square(op);
+  }
+  std::array<std::uint32_t, 4 * 256> table{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      table[k * 256 + b] = gf2_times(op, b << (8 * k));
+    }
+  }
+  return table;
+}
+
+/// shift_kLane(crc) of a raw (pre-inversion) register value.
+std::uint32_t lane_shift(std::uint32_t crc) noexcept {
+  static const std::array<std::uint32_t, 4 * 256> table = build_lane_shift();
+  return table[crc & 0xFFu] ^ table[256 + ((crc >> 8) & 0xFFu)] ^
+         table[512 + ((crc >> 16) & 0xFFu)] ^ table[768 + (crc >> 24)];
+}
+
+/// Register after a whole block, from the registers of its three lanes.
+std::uint64_t join_lanes(std::uint64_t crc0, std::uint64_t crc1,
+                         std::uint64_t crc2) noexcept {
+  const std::uint32_t crc01 =
+      lane_shift(static_cast<std::uint32_t>(crc0)) ^
+      static_cast<std::uint32_t>(crc1);
+  return lane_shift(crc01) ^ crc2;
+}
+
+}  // namespace
+
 bool crc32c_hw_available() noexcept {
   static const bool available = __builtin_cpu_supports("sse4.2");
   return available;
@@ -118,6 +191,18 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
   std::uint64_t crc = ~seed;
   const std::byte* p = data.data();
   std::size_t n = data.size();
+  while (n >= 3 * kLane) {
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (std::size_t i = 0; i < kLane; i += 8) {
+      crc = _mm_crc32_u64(crc, load_u64(p + i));
+      crc1 = _mm_crc32_u64(crc1, load_u64(p + kLane + i));
+      crc2 = _mm_crc32_u64(crc2, load_u64(p + 2 * kLane + i));
+    }
+    crc = join_lanes(crc, crc1, crc2);
+    p += 3 * kLane;
+    n -= 3 * kLane;
+  }
   while (n >= 8) {
     crc = _mm_crc32_u64(crc, load_u64(p));
     p += 8;
@@ -134,6 +219,25 @@ __attribute__((target("sse4.2"))) std::uint32_t copy_and_crc32c_hw(
     std::byte* dst, const std::byte* src, std::size_t n,
     std::uint32_t seed) noexcept {
   std::uint64_t crc = ~seed;
+  while (n >= 3 * kLane) {
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (std::size_t i = 0; i < kLane; i += 8) {
+      const std::uint64_t v0 = load_u64(src + i);
+      const std::uint64_t v1 = load_u64(src + kLane + i);
+      const std::uint64_t v2 = load_u64(src + 2 * kLane + i);
+      std::memcpy(dst + i, &v0, sizeof(v0));
+      std::memcpy(dst + kLane + i, &v1, sizeof(v1));
+      std::memcpy(dst + 2 * kLane + i, &v2, sizeof(v2));
+      crc = _mm_crc32_u64(crc, v0);
+      crc1 = _mm_crc32_u64(crc1, v1);
+      crc2 = _mm_crc32_u64(crc2, v2);
+    }
+    crc = join_lanes(crc, crc1, crc2);
+    src += 3 * kLane;
+    dst += 3 * kLane;
+    n -= 3 * kLane;
+  }
   while (n >= 8) {
     const std::uint64_t v = load_u64(src);
     std::memcpy(dst, &v, sizeof(v));

@@ -8,6 +8,8 @@
 // Two implementations, picked once at startup:
 //   - hardware: SSE4.2 `crc32` (x86-64) or the ARMv8 CRC32 extension,
 //     detected at runtime so the same binary runs on hosts without them;
+//     on x86 long inputs run three independent crc32 chains whose results
+//     are joined with a precomputed GF(2) shift table;
 //   - software: slice-by-8 table, no ISA dependence.
 // The checksum is host-side work only — it charges no virtual time.
 #pragma once
@@ -19,6 +21,10 @@
 namespace cmpi {
 
 namespace detail {
+/// Lane length of the x86 hardware kernels: inputs of at least three lanes
+/// are checksummed as three interleaved kCrc32cLane-byte streams per block.
+inline constexpr std::size_t kCrc32cLane = 4096;
+
 /// Lazily built 8x256 lookup table for the Castagnoli polynomial
 /// (0x1EDC6F41, reflected 0x82F63B78).
 const std::uint32_t* crc32c_table() noexcept;

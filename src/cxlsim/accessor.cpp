@@ -56,17 +56,13 @@ void Accessor::load(std::uint64_t offset, std::span<std::byte> dst) {
     clock_.advance(device_.timing().uncached_cost(dst.size()));
     return;
   }
-  const auto before = cache_.stats();
-  cache_.read(offset, dst);
-  const auto after = cache_.stats();
-  const auto misses = after.misses - before.misses;
-  const auto hits = after.hits - before.hits;
+  const CacheSim::ReadResult lines = cache_.read(offset, dst);
   // Under hardware coherence every miss is also a BI snoop round. A
   // degraded link (fault injection) stretches the fill, not the hit.
-  clock_.advance(static_cast<simtime::Ns>(misses) *
+  clock_.advance(static_cast<simtime::Ns>(lines.misses) *
                      (p.line_fill_latency * fault_latency_multiplier() +
                       bi_line_cost(device_)) +
-                 static_cast<simtime::Ns>(hits) * p.cache_hit_latency);
+                 static_cast<simtime::Ns>(lines.hits) * p.cache_hit_latency);
 }
 
 void Accessor::memset(std::uint64_t offset, std::byte value,

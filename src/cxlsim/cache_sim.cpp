@@ -13,6 +13,7 @@ CacheSim::CacheSim(DaxDevice& device, Geometry geometry)
     : device_(device), geometry_(geometry) {
   CMPI_EXPECTS(geometry.sets > 0 && geometry.ways > 0);
   lines_.resize(geometry_.sets * geometry_.ways);
+  page_lines_.resize(ceil_div(device_.size(), kPageSize));
   device_.register_cache(this);
   obs_registration_ = obs::ProviderRegistration([this] {
     const Stats s = stats();
@@ -45,7 +46,7 @@ void CacheSim::external_invalidate(std::uint64_t line_offset) {
   std::lock_guard lock(mutex_);
   if (Line* line = find_line(line_offset); line != nullptr) {
     writeback_line(*line);
-    line->valid = false;
+    invalidate_line(*line);
     if (CoherenceChecker* chk = device_.checker()) {
       chk->on_invalidate(this, line_offset);
     }
@@ -74,6 +75,32 @@ CacheSim::Line* CacheSim::find_line(std::uint64_t line_offset) {
     }
   }
   return nullptr;
+}
+
+void CacheSim::invalidate_line(Line& line) {
+  CMPI_ASSERT(line.valid);
+  line.valid = false;
+  --page_lines_[line.tag / kPageSize];
+}
+
+template <typename Fn>
+void CacheSim::for_each_cached_line(std::uint64_t offset, std::size_t size,
+                                    Fn&& fn) {
+  if (size == 0) {
+    return;
+  }
+  const std::uint64_t end = offset + size;
+  std::uint64_t at = align_down(offset, kCacheLineSize);
+  while (at < end) {
+    if (page_lines_[at / kPageSize] == 0) {
+      at = align_down(at, kPageSize) + kPageSize;
+      continue;
+    }
+    if (Line* line = find_line(at); line != nullptr) {
+      fn(*line);
+    }
+    at += kCacheLineSize;
+  }
 }
 
 void CacheSim::pool_read(std::uint64_t offset, std::span<std::byte> dst) {
@@ -114,6 +141,7 @@ CacheSim::Line& CacheSim::fill_line(std::uint64_t line_offset) {
   }
   if (victim->valid) {
     writeback_line(*victim);
+    invalidate_line(*victim);
     ++stats_.evictions;
     if (CoherenceChecker* chk = device_.checker()) {
       chk->on_invalidate(this, victim->tag);
@@ -121,6 +149,7 @@ CacheSim::Line& CacheSim::fill_line(std::uint64_t line_offset) {
   }
   victim->tag = line_offset;
   victim->valid = true;
+  ++page_lines_[line_offset / kPageSize];
   victim->dirty = false;
   victim->lru = ++lru_clock_;
   pool_read(line_offset, {victim->data, kCacheLineSize});
@@ -128,10 +157,12 @@ CacheSim::Line& CacheSim::fill_line(std::uint64_t line_offset) {
   return *victim;
 }
 
-void CacheSim::read(std::uint64_t offset, std::span<std::byte> dst) {
+CacheSim::ReadResult CacheSim::read(std::uint64_t offset,
+                                   std::span<std::byte> dst) {
   CMPI_EXPECTS(offset + dst.size() <= device_.size());
   bi_acquire_range(offset, dst.size(), /*for_write=*/false);
   std::lock_guard lock(mutex_);
+  ReadResult result;
   std::size_t done = 0;
   while (done < dst.size()) {
     const std::uint64_t at = offset + done;
@@ -143,8 +174,10 @@ void CacheSim::read(std::uint64_t offset, std::span<std::byte> dst) {
     const bool hit = line != nullptr;
     if (hit) {
       ++stats_.hits;
+      ++result.hits;
     } else {
       line = &fill_line(line_offset);
+      ++result.misses;
     }
     if (CoherenceChecker* chk = device_.checker()) {
       chk->on_cached_read(this, line_offset, hit);
@@ -152,6 +185,7 @@ void CacheSim::read(std::uint64_t offset, std::span<std::byte> dst) {
     std::memcpy(dst.data() + done, line->data + in_line, chunk);
     done += chunk;
   }
+  return result;
 }
 
 void CacheSim::write(std::uint64_t offset, std::span<const std::byte> src) {
@@ -199,24 +233,17 @@ CacheSim::FlushResult CacheSim::clflush(std::uint64_t offset,
   CMPI_EXPECTS(offset + size <= device_.size());
   std::lock_guard lock(mutex_);
   FlushResult result{};
-  if (size == 0) {
-    return result;
-  }
-  const std::uint64_t first = align_down(offset, kCacheLineSize);
-  const std::uint64_t last = align_down(offset + size - 1, kCacheLineSize);
-  for (std::uint64_t at = first; at <= last; at += kCacheLineSize) {
-    ++result.lines_touched;
-    if (Line* line = find_line(at); line != nullptr) {
-      if (line->dirty) {
-        writeback_line(*line);
-        ++result.lines_written_back;
-      }
-      line->valid = false;
-      if (CoherenceChecker* chk = device_.checker()) {
-        chk->on_invalidate(this, at);
-      }
+  result.lines_touched = cache_lines_spanned(offset, size);
+  for_each_cached_line(offset, size, [&](Line& line) {
+    if (line.dirty) {
+      writeback_line(line);
+      ++result.lines_written_back;
     }
-  }
+    invalidate_line(line);
+    if (CoherenceChecker* chk = device_.checker()) {
+      chk->on_invalidate(this, line.tag);
+    }
+  });
   return result;
 }
 
@@ -224,18 +251,13 @@ CacheSim::FlushResult CacheSim::clwb(std::uint64_t offset, std::size_t size) {
   CMPI_EXPECTS(offset + size <= device_.size());
   std::lock_guard lock(mutex_);
   FlushResult result{};
-  if (size == 0) {
-    return result;
-  }
-  const std::uint64_t first = align_down(offset, kCacheLineSize);
-  const std::uint64_t last = align_down(offset + size - 1, kCacheLineSize);
-  for (std::uint64_t at = first; at <= last; at += kCacheLineSize) {
-    ++result.lines_touched;
-    if (Line* line = find_line(at); line != nullptr && line->dirty) {
-      writeback_line(*line);
+  result.lines_touched = cache_lines_spanned(offset, size);
+  for_each_cached_line(offset, size, [&](Line& line) {
+    if (line.dirty) {
+      writeback_line(line);
       ++result.lines_written_back;
     }
-  }
+  });
   return result;
 }
 
@@ -243,21 +265,14 @@ void CacheSim::nt_store(std::uint64_t offset, std::span<const std::byte> src) {
   CMPI_EXPECTS(offset + src.size() <= device_.size());
   bi_acquire_range(offset, src.size(), /*for_write=*/true);
   std::lock_guard lock(mutex_);
-  if (!src.empty()) {
-    // Evict any cached copies so the cache never shadows the NT data.
-    const std::uint64_t first = align_down(offset, kCacheLineSize);
-    const std::uint64_t last =
-        align_down(offset + src.size() - 1, kCacheLineSize);
-    for (std::uint64_t at = first; at <= last; at += kCacheLineSize) {
-      if (Line* line = find_line(at); line != nullptr) {
-        writeback_line(*line);
-        line->valid = false;
-        if (CoherenceChecker* chk = device_.checker()) {
-          chk->on_invalidate(this, at);
-        }
-      }
+  // Evict any cached copies so the cache never shadows the NT data.
+  for_each_cached_line(offset, src.size(), [&](Line& line) {
+    writeback_line(line);
+    invalidate_line(line);
+    if (CoherenceChecker* chk = device_.checker()) {
+      chk->on_invalidate(this, line.tag);
     }
-  }
+  });
   pool_write(offset, src);
   if (CoherenceChecker* chk = device_.checker()) {
     chk->on_pool_write(this, offset, src.size());
@@ -272,23 +287,17 @@ void CacheSim::nt_load(std::uint64_t offset, std::span<std::byte> dst) {
   if (CoherenceChecker* chk = device_.checker()) {
     chk->on_pool_read(this, offset, dst.size());
   }
-  if (dst.empty()) {
-    return;
-  }
   // The node's own coherent domain satisfies loads of locally dirty lines.
-  const std::uint64_t first = align_down(offset, kCacheLineSize);
-  const std::uint64_t last =
-      align_down(offset + dst.size() - 1, kCacheLineSize);
-  for (std::uint64_t at = first; at <= last; at += kCacheLineSize) {
-    Line* line = find_line(at);
-    if (line == nullptr || !line->dirty) {
-      continue;
+  for_each_cached_line(offset, dst.size(), [&](Line& line) {
+    if (!line.dirty) {
+      return;
     }
+    const std::uint64_t at = line.tag;
     const std::uint64_t lo = std::max<std::uint64_t>(at, offset);
     const std::uint64_t hi =
         std::min<std::uint64_t>(at + kCacheLineSize, offset + dst.size());
-    std::memcpy(dst.data() + (lo - offset), line->data + (lo - at), hi - lo);
-  }
+    std::memcpy(dst.data() + (lo - offset), line.data + (lo - at), hi - lo);
+  });
 }
 
 std::uint64_t CacheSim::nt_load_u64(std::uint64_t offset) {
@@ -320,7 +329,7 @@ void CacheSim::writeback_all() {
   for (Line& line : lines_) {
     if (line.valid) {
       writeback_line(line);
-      line.valid = false;
+      invalidate_line(line);
       if (chk != nullptr) {
         chk->on_invalidate(this, line.tag);
       }
@@ -338,6 +347,7 @@ void CacheSim::drop_all() {
     line.valid = false;
     line.dirty = false;
   }
+  std::fill(page_lines_.begin(), page_lines_.end(), std::uint8_t{0});
 }
 
 CacheSim::Stats CacheSim::stats() const {

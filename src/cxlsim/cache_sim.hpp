@@ -12,6 +12,13 @@
 //
 // All ranks of a node share the node cache (intra-node coherence is the
 // host's own coherent domain), hence the internal mutex.
+//
+// Range operations (flush family, NT load/store) cost host time in
+// proportion to the lines the cache holds, not to the range: a count of
+// valid lines per 4 KiB pool page lets them skip every page on which the
+// cache holds no line. A probe of such a page's lines finds nothing and
+// changes nothing, so skipping it changes no hit, LRU stamp, write-back or
+// statistic.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +48,13 @@ class CacheSim {
     std::uint64_t writebacks = 0;
   };
 
+  /// Hits and misses of one read() call, for the timing layer (the node
+  /// cache is shared, so diffing stats() would also count other ranks').
+  struct ReadResult {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
   /// Result of a flush-family operation, for the timing layer.
   struct FlushResult {
     std::size_t lines_touched = 0;      ///< lines the instruction spanned
@@ -56,7 +70,7 @@ class CacheSim {
   // --- Cached (write-back) accesses ---
   /// Read through the node cache; may return data that is stale with
   /// respect to the pool if this node cached the lines earlier.
-  void read(std::uint64_t offset, std::span<std::byte> dst);
+  ReadResult read(std::uint64_t offset, std::span<std::byte> dst);
 
   /// Write into the node cache (write-allocate); the pool is NOT updated
   /// until the lines are flushed or evicted.
@@ -123,8 +137,19 @@ class CacheSim {
     std::byte data[kCacheLineSize]{};
   };
 
+  /// Pool-page granularity of the residency count.
+  static constexpr std::size_t kPageSize = 4096;
+  static_assert(kPageSize / kCacheLineSize <= UINT8_MAX);
+
   Line* find_line(std::uint64_t line_offset);
   Line& fill_line(std::uint64_t line_offset);
+  /// Clears a valid line's valid bit (no write-back) and its page count.
+  void invalidate_line(Line& line);
+  /// Calls fn(line) for every line of [offset, offset + size) this cache
+  /// holds, in address order, skipping pages with no valid line. fn may
+  /// invalidate the line it is given.
+  template <typename Fn>
+  void for_each_cached_line(std::uint64_t offset, std::size_t size, Fn&& fn);
   void writeback_line(Line& line);
   void pool_read(std::uint64_t offset, std::span<std::byte> dst);
   void pool_write(std::uint64_t offset, std::span<const std::byte> src);
@@ -134,6 +159,9 @@ class CacheSim {
   const Geometry geometry_;
   mutable std::mutex mutex_;
   std::vector<Line> lines_;  // sets * ways, row-major by set
+  // Valid lines per kPageSize page of the pool; changed only where a
+  // line's valid bit flips.
+  std::vector<std::uint8_t> page_lines_;
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
   // Exposes stats() to the obs metrics registry as the cache.* family;

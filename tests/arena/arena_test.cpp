@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -360,6 +361,33 @@ TEST_F(ArenaFsckTest, FsckMessageNamesOffsetAndOwningRegion) {
   EXPECT_NE(msg.find("object region [0x"), std::string::npos)
       << "missing owning object region in: " << msg;
   EXPECT_NE(msg.find("bad magic"), std::string::npos) << msg;
+}
+
+TEST_F(ArenaFsckTest, AttachWaitsForAllocatorHoldingTheLock) {
+  // A peer inside the arena lock may have the free list mid-update; attach
+  // must check it only once the holder leaves. The holder here breaks the
+  // head block's magic, lets attach start, then restores the block and
+  // unlocks: attach has to see only the restored list.
+  Arena holder = check_ok(Arena::attach(*acc_, 0, /*participant=*/0));
+  BakeryLock& lock = holder.shm_lock();
+  lock.lock(*acc_, 0);
+  const std::uint64_t magic = acc_->nt_load_u64(free_head_);
+  acc_->nt_store_u64(free_head_, 0x0BADF00DULL);
+
+  std::atomic<bool> finished{false};
+  ErrorCode verdict = ErrorCode::kOk;
+  std::thread attacher([&] {
+    verdict = attach_code();
+    finished.store(true);
+  });
+  // Participant 1 shows a ticket once attach is queued behind the holder.
+  while (!lock.participant_active(*acc_, 1) && !finished.load()) {
+    std::this_thread::yield();
+  }
+  acc_->nt_store_u64(free_head_, magic);
+  lock.unlock(*acc_, 0);
+  attacher.join();
+  EXPECT_EQ(verdict, ErrorCode::kOk);
 }
 
 TEST_F(ArenaFsckTest, HealthyArenaStillAttaches) {

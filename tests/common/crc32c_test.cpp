@@ -103,5 +103,46 @@ TEST(Crc32c, FusedCopyHardwareAgreesWithSoftware) {
   }
 }
 
+
+// Lengths around the x86 kernels' 3-lane block boundary (the random
+// agreement tests above stay below one block), from unaligned starts and
+// with the seed threaded through a split, for both kernels.
+TEST(Crc32c, LaneBoundaryLengthsAgreeWithSoftware) {
+  constexpr std::size_t kL = detail::kCrc32cLane;
+  const std::size_t lengths[] = {0,          1,          3 * kL - 1,
+                                 3 * kL,     3 * kL + 1, 3 * kL + 7,
+                                 6 * kL,     (2u << 20) + 5};
+  const std::vector<std::byte> data = random_bytes((2u << 20) + 64, 5);
+  Rng rng(6);
+  for (const std::size_t n : lengths) {
+    for (const std::size_t skip : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{5}}) {
+      const auto span = std::span(data).subspan(skip, n);
+      const auto seed = static_cast<std::uint32_t>(rng.next_below(1u << 31));
+      const std::uint32_t want = detail::crc32c_sw(span, seed);
+      EXPECT_EQ(crc32c(span, seed), want) << "n=" << n << " skip=" << skip;
+      const std::size_t cut = n / 3;
+      EXPECT_EQ(crc32c(span.subspan(cut), crc32c(span.first(cut), seed)),
+                want)
+          << "chained, n=" << n << " skip=" << skip;
+
+      std::vector<std::byte> dst(n + 3, std::byte{0xAA});
+      EXPECT_EQ(copy_and_crc32c(dst.data() + 3, span, seed), want)
+          << "fused, n=" << n << " skip=" << skip;
+      EXPECT_EQ(std::memcmp(dst.data() + 3, span.data(), n), 0)
+          << "fused copy, n=" << n << " skip=" << skip;
+      EXPECT_EQ(std::to_integer<int>(dst[0]), 0xAA);
+      if (detail::crc32c_hw_available()) {
+        EXPECT_EQ(detail::crc32c_hw(span, seed), want);
+        std::vector<std::byte> hw_dst(n + 1);
+        EXPECT_EQ(detail::copy_and_crc32c_hw(hw_dst.data() + 1, span.data(),
+                                             n, seed),
+                  want);
+        EXPECT_EQ(std::memcmp(hw_dst.data() + 1, span.data(), n), 0);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cmpi

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "common/units.hpp"
@@ -216,6 +218,48 @@ TEST_F(AccessorTest, PeekFlagDoesNotAdvanceClock) {
   const simtime::Ns before = clock_b_.now();
   (void)acc_b_->peek_flag(128_KiB);
   EXPECT_DOUBLE_EQ(clock_b_.now(), before);
+}
+
+
+TEST_F(AccessorTest, LoadChargesOnlyItsOwnLinesOnASharedNodeCache) {
+  // Two ranks of one node share its cache. One streams cold lines (every
+  // load a miss); the other's one-line loads must each be charged exactly
+  // one hit or one fill, never the streamer's misses.
+  simtime::VClock streamer_clock;
+  simtime::VClock checker_clock;
+  Accessor streamer(*device_, *cache_a_, streamer_clock);
+  Accessor checker(*device_, *cache_a_, checker_clock);
+  const auto& p = device_->timing().params();
+  std::atomic<std::uint64_t> streamed{0};
+  std::atomic<bool> done{false};
+  std::thread stream([&] {
+    std::byte out[8];
+    std::uint64_t line = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      // Cycle over 4x the cache's capacity: every load is a miss.
+      streamer.load(64 * 4096 + (line++ % 65536) * kCacheLineSize, out);
+      streamed.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  int wrong = 0;
+  std::byte out[8];
+  for (int i = 0; i < 500; ++i) {
+    // Let the streamer run between our loads: a thread that re-takes the
+    // node-cache mutex back to back would otherwise starve it.
+    const std::uint64_t seen = streamed.load(std::memory_order_relaxed);
+    while (streamed.load(std::memory_order_relaxed) < seen + 2) {
+      std::this_thread::yield();
+    }
+    const simtime::Ns before = checker_clock.now();
+    checker.load((i % 8) * kCacheLineSize, out);
+    const simtime::Ns charge = checker_clock.now() - before;
+    if (charge != p.cache_hit_latency && charge != p.line_fill_latency) {
+      ++wrong;
+    }
+  }
+  done.store(true, std::memory_order_relaxed);
+  stream.join();
+  EXPECT_EQ(wrong, 0) << "loads charged for another rank's misses";
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -260,6 +261,136 @@ TEST_F(CacheSimTest, RandomizedAgainstReferenceWithFlushDiscipline) {
           << "step " << step;
     }
   }
+}
+
+// Range operations skip pool pages on which the node cache holds no line.
+// This drives every range operation on a tiny cache (4 sets x 2 ways, so
+// fills evict constantly) over ranges that straddle partly cached 4 KiB
+// pages, against a byte-level shadow of what the node sees. Every written
+// byte differs from the pool byte it replaces, so a line is dirty exactly
+// when the shadow and the pool disagree on it: that is the oracle for
+// write-back counts, whichever lines the cache happened to evict.
+TEST_F(CacheSimTest, RangeOpsMatchShadowModelUnderEvictions) {
+  constexpr std::uint64_t kBase = 3 * 4096;  // pages 3..7 of the pool
+  constexpr std::size_t kSpan = 5 * 4096;
+  CacheSim tiny(*device_, CacheSim::Geometry{.sets = 4, .ways = 2});
+  std::vector<std::byte> view(kSpan, std::byte{0});  // the node's view
+  const auto pool = [&](std::size_t i) { return pool_at(kBase + i); };
+  const auto dirty_lines = [&](std::size_t offset, std::size_t size) {
+    std::size_t dirty = 0;
+    for (std::size_t line = align_down(offset, kCacheLineSize);
+         line < offset + size; line += kCacheLineSize) {
+      for (std::size_t i = line; i < line + kCacheLineSize; ++i) {
+        if (view[i] != pool(i)) {
+          ++dirty;
+          break;
+        }
+      }
+    }
+    return dirty;
+  };
+  const auto expect_view = [&](std::size_t offset,
+                               const std::vector<std::byte>& got, int step) {
+    ASSERT_EQ(std::memcmp(got.data(), view.data() + offset, got.size()), 0)
+        << "step " << step << " offset " << offset << " size " << got.size();
+  };
+
+  Rng rng(20261018);
+  for (int step = 0; step < 4000; ++step) {
+    // Ranges from one byte to just over two pages: most straddle a page
+    // boundary, many cover a page the cache holds only a line or two of.
+    const std::size_t size =
+        rng.next_bool(0.5) ? 1 + rng.next_below(256)
+                           : 1 + rng.next_below(2 * 4096 + 64);
+    const std::size_t offset = rng.next_below(kSpan - size + 1);
+    const std::uint64_t at = kBase + offset;
+    std::vector<std::byte> data(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      data[i] = static_cast<std::byte>(std::to_integer<int>(pool(offset + i)) +
+                                       1 + rng.next_below(255));
+    }
+    switch (rng.next_below(11)) {
+      case 0:
+      case 1:  // cached write
+        tiny.write(at, data);
+        std::memcpy(view.data() + offset, data.data(), size);
+        break;
+      case 2: {  // cached memset with a value no pool byte there holds
+        const std::size_t n = std::min<std::size_t>(size, 255);
+        bool held[256] = {};
+        for (std::size_t i = 0; i < n; ++i) {
+          held[std::to_integer<int>(pool(offset + i))] = true;
+        }
+        std::size_t value = rng.next_below(256);
+        while (held[value]) {
+          value = (value + 1) % 256;
+        }
+        tiny.memset(at, static_cast<std::byte>(value), n);
+        std::fill_n(view.begin() + static_cast<std::ptrdiff_t>(offset), n,
+                    static_cast<std::byte>(value));
+        break;
+      }
+      case 3:
+      case 4: {  // cached read
+        std::vector<std::byte> got(size);
+        tiny.read(at, got);
+        expect_view(offset, got, step);
+        break;
+      }
+      case 5: {  // clflush: write back dirty lines, drop the range
+        const std::size_t dirty = dirty_lines(offset, size);
+        const auto result = tiny.clflush(at, size);
+        EXPECT_EQ(result.lines_touched, cache_lines_spanned(at, size));
+        ASSERT_EQ(result.lines_written_back, dirty) << "step " << step;
+        ASSERT_EQ(dirty_lines(offset, size), 0u) << "step " << step;
+        break;
+      }
+      case 6: {  // clwb: write back dirty lines, keep them
+        const std::size_t dirty = dirty_lines(offset, size);
+        const auto result = tiny.clwb(at, size);
+        EXPECT_EQ(result.lines_touched, cache_lines_spanned(at, size));
+        ASSERT_EQ(result.lines_written_back, dirty) << "step " << step;
+        ASSERT_EQ(dirty_lines(offset, size), 0u) << "step " << step;
+        break;
+      }
+      case 7: {  // NT store: the pool takes the data, nothing shadows it
+        tiny.nt_store(at, data);
+        std::memcpy(view.data() + offset, data.data(), size);
+        ASSERT_EQ(dirty_lines(offset, size), 0u) << "step " << step;
+        std::vector<std::byte> got(size);
+        tiny.read(at, got);
+        expect_view(offset, got, step);
+        break;
+      }
+      case 8: {  // NT load: the pool, overlaid with own dirty lines
+        std::vector<std::byte> got(size);
+        tiny.nt_load(at, got);
+        expect_view(offset, got, step);
+        break;
+      }
+      case 9:
+        if (rng.next_bool(0.5)) {
+          tiny.writeback_all();
+          ASSERT_EQ(dirty_lines(0, kSpan), 0u) << "step " << step;
+        } else {
+          tiny.drop_all();  // dirty data is lost: the node sees the pool
+          for (std::size_t i = 0; i < kSpan; ++i) {
+            view[i] = pool(i);
+          }
+        }
+        break;
+      default: {  // a line far outside the span competes for the sets
+        std::byte tmp[8];
+        tiny.read(16 * 4096 + rng.next_below(64) * kCacheLineSize, tmp);
+        break;
+      }
+    }
+  }
+  tiny.writeback_all();
+  for (std::size_t i = 0; i < kSpan; ++i) {
+    ASSERT_EQ(pool(i), view[i]) << "byte " << i;
+  }
+  EXPECT_GT(tiny.stats().evictions, 100u);
 }
 
 }  // namespace
