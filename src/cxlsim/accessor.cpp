@@ -229,7 +229,6 @@ void Accessor::bulk_write(std::uint64_t offset, std::span<const std::byte> src,
     return;
   }
   const auto& p = device_.timing().params();
-  CxlTimingModel::StreamScope stream(device_.timing());
   const simtime::Ns start = clock_.now();
   // §3.5 discipline: every bulk write ends with a flush round (the
   // clflushopt sweep's setup cost; the per-line flush work is what limits
@@ -237,7 +236,7 @@ void Accessor::bulk_write(std::uint64_t offset, std::span<const std::byte> src,
   // Batched ops share their batch's single sweep, so only the first op of
   // the batch pays the setup.
   const simtime::Ns setup = charge == BulkCharge::kFull ? p.flush_base : 0;
-  clock_.advance(setup + device_.timing().cpu_copy_cost(src.size()));
+  clock_.advance(setup + copy_cost(start + setup, src.size()));
   const simtime::Ns done =
       device_.timing().reserve_device(start, src.size(), /*is_read=*/false,
                                      wfq_class_);
@@ -260,12 +259,11 @@ void Accessor::bulk_read(std::uint64_t offset, std::span<std::byte> dst,
     return;
   }
   const auto& p = device_.timing().params();
-  CxlTimingModel::StreamScope stream(device_.timing());
   const simtime::Ns start = clock_.now();
   // §3.5 discipline: invalidate (flush) before the read so no stale lines
   // satisfy it; batched ops share the batch's single invalidate sweep.
   const simtime::Ns setup = charge == BulkCharge::kFull ? p.flush_base : 0;
-  clock_.advance(setup + device_.timing().cpu_copy_cost(dst.size()));
+  clock_.advance(setup + copy_cost(start + setup, dst.size()));
   const simtime::Ns done =
       device_.timing().reserve_device(start, dst.size(), /*is_read=*/true,
                                      wfq_class_);

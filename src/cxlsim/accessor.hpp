@@ -12,7 +12,8 @@
 //   * non-temporal ops — bypass the cache; u64 variants are the lock-free
 //     synchronization-flag primitives (head/tail pointers, PSCW flags),
 //   * bulk_write / bulk_read — streaming payload copies with the pipelined
-//     CPU + device bandwidth model (and contention gauge),
+//     CPU + device bandwidth model (and the node's copy contention, counted
+//     in virtual time by its CopyStreams),
 //   * timestamped flags — an 8-byte value plus an 8-byte virtual-time stamp
 //     published together, the mechanism that propagates causality between
 //     rank clocks (see simtime/vclock.hpp).
@@ -187,6 +188,11 @@ class Accessor {
   }
   void charge_flush(const CacheSim::FlushResult& result,
                     simtime::Ns per_line_cost);
+  /// CPU cost of a bulk copy of `bytes` starting at virtual time `start`,
+  /// contended by the node's other streams overlapping it in virtual time.
+  simtime::Ns copy_cost(simtime::Ns start, std::size_t bytes) {
+    return cache_.copy_streams().charge(device_.timing(), this, start, bytes);
+  }
 
   /// Fault hook at the top of every data operation: counts the access for
   /// crash-at-Nth scheduling (may throw RankCrashed) and, on reads, tags

@@ -122,6 +122,10 @@ class CacheSim {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Geometry& geometry() const noexcept { return geometry_; }
 
+  /// This node's large CPU copies in virtual time: the per-node count
+  /// behind the copy contention penalty (see CopyStreams).
+  [[nodiscard]] CopyStreams& copy_streams() noexcept { return copy_streams_; }
+
  private:
   /// Hardware-coherence pre-pass over every line an access spans: acquire
   /// ownership (write) or shared state (read) from peer caches. No-op
@@ -164,6 +168,7 @@ class CacheSim {
   std::vector<std::uint8_t> page_lines_;
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
+  CopyStreams copy_streams_;
   // Exposes stats() to the obs metrics registry as the cache.* family;
   // the registration folds the final values in when this cache dies.
   obs::ProviderRegistration obs_registration_;

@@ -14,8 +14,9 @@
 //             device twice.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
+#include <deque>
+#include <mutex>
 
 #include "simtime/busy_resource.hpp"
 #include "simtime/vclock.hpp"
@@ -61,16 +62,16 @@ struct CxlTimingParams {
   simtime::Ns bi_directory_lookup = 300; ///< directory access in device DRAM
 
   // --- Memory-hierarchy contention for large working sets (§4.2) ---
-  /// Messages at or below this size are cache-friendly; beyond it, multiple
-  /// concurrent streams degrade each other's effective CPU copy rate.
+  /// Copies at or below this size are cache-friendly; beyond it, copies
+  /// that overlap in virtual time on the same node degrade each other's
+  /// effective CPU copy rate (see CopyStreams).
   std::size_t contention_threshold = 16 * 1024;
   double contention_alpha = 0.8;       ///< strength of cross-stream slowdown
   double contention_span_log2 = 9.0;   ///< slowdown saturates at thr << 9 (8 MiB)
 };
 
 /// Shared timing state of the device: the streaming-bandwidth server that
-/// all heads contend on and the gauge of concurrently active bulk streams.
-/// Thread-safe.
+/// all heads contend on. Thread-safe.
 class CxlTimingModel {
  public:
   explicit CxlTimingModel(const CxlTimingParams& params)
@@ -107,30 +108,12 @@ class CxlTimingModel {
     return device_.share(wfq_class);
   }
 
-  /// CPU-side cost of copying `bytes` between host memory and the pool,
-  /// including the large-working-set contention penalty for the current
-  /// number of active streams.
-  [[nodiscard]] simtime::Ns cpu_copy_cost(std::size_t bytes) const noexcept;
-
-  /// RAII gauge of concurrently active bulk copy streams.
-  class StreamScope {
-   public:
-    explicit StreamScope(CxlTimingModel& model) noexcept : model_(&model) {
-      model_->active_streams_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~StreamScope() {
-      model_->active_streams_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    StreamScope(const StreamScope&) = delete;
-    StreamScope& operator=(const StreamScope&) = delete;
-
-   private:
-    CxlTimingModel* model_;
-  };
-
-  [[nodiscard]] int active_streams() const noexcept {
-    return active_streams_.load(std::memory_order_relaxed);
-  }
+  /// CPU-side cost of copying `bytes` between host memory and the pool
+  /// while `other_streams` other copies of the same node run alongside it
+  /// (time-averaged over the copy; CopyStreams supplies the count). Copies
+  /// at or below the contention threshold never degrade.
+  [[nodiscard]] simtime::Ns cpu_copy_cost(
+      std::size_t bytes, double other_streams = 0.0) const noexcept;
 
   /// Cost of an uncachable access of `total_size` bytes starting inside a
   /// UC MTRR range (per-line serialized TLPs; regime depends on size).
@@ -142,7 +125,44 @@ class CxlTimingModel {
  private:
   const CxlTimingParams params_;
   simtime::BusyResource device_;
-  std::atomic<int> active_streams_{0};
+};
+
+/// The large CPU copies of one node, placed in virtual time: the count of
+/// "other streams" behind cpu_copy_cost's contention penalty. Each node has
+/// its own cache domain, so only copies of the same node contend here;
+/// device-side contention is reserve_device's. A copy counts the recorded
+/// copies of other streams that overlap its own solo interval, weighted by
+/// the overlapped fraction. Wall-clock thread overlap plays no part: as
+/// with BusyResource's fluid slots, host order decides only which of two
+/// copies overlapping in virtual time pays (the one issued later), and
+/// copies apart in virtual time never touch each other. Copies at or below
+/// the contention threshold are cache-resident: they neither pay nor
+/// inflict the penalty and are not recorded. Thread-safe; the node's
+/// CacheSim owns one.
+class CopyStreams {
+ public:
+  /// Cost of a CPU copy of `bytes` that `stream` (the issuing rank's
+  /// accessor) starts at virtual time `start`, given the other streams'
+  /// copies recorded so far; records the charged interval.
+  simtime::Ns charge(const CxlTimingModel& model, const void* stream,
+                     simtime::Ns start, std::size_t bytes);
+
+ private:
+  /// Recorded intervals ending this far behind the latest recorded end are
+  /// dropped: BusyResource's live window (2048 ns slots x 65536), far
+  /// beyond any legitimate skew between the ranks of one node.
+  static constexpr simtime::Ns kLookbackNs = 2048.0 * 65536.0;
+
+  struct Interval {
+    simtime::Ns begin = 0;
+    simtime::Ns end = 0;
+    const void* stream = nullptr;
+  };
+
+  std::mutex mutex_;
+  std::deque<Interval> live_;      // sorted by begin
+  simtime::Ns longest_ = 0;        // longest interval ever recorded
+  simtime::Ns latest_end_ = 0;     // latest recorded end
 };
 
 }  // namespace cmpi::cxlsim

@@ -1,6 +1,7 @@
 #include "p2p/endpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -1015,6 +1016,7 @@ bool Endpoint::match_unexpected(Request& request) {
   }
   CMPI_OBS_HIST("p2p.match_probe_len", probe);
   UnexpectedMsg& msg = *found;
+  request.arrival = std::max(request.arrival, msg.arrival);
   if (msg.rendezvous) {
     // Deferred one-copy delivery: the payload waited in the sender's
     // slab; pull it pool→user now that the destination is known, then
@@ -1110,8 +1112,10 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
     // legacy ablation must model the pre-change engine.
     ring.enable_fused_small_reads(ctx_->device().fault_injector() == nullptr);
   }
+  simtime::VClock& clock = ctx_->clock();
   std::size_t reaped = 0;
   while (reaped < max_cells) {
+    simtime::Ns before_peek = clock.now();
     std::optional<queue::CellHeader> header = ring.peek(ctx_->acc());
     if (!header.has_value() && defer) {
       // Publish our true head BEFORE concluding empty: the producer's
@@ -1120,6 +1124,7 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       // flush, then re-peek, and only a still-empty ring is really empty
       // (its next publish will ring).
       ring.flush_head(ctx_->acc());
+      before_peek = clock.now();
       header = ring.peek(ctx_->acc());
     }
     if (!header.has_value()) {
@@ -1217,6 +1222,31 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       }
     }
 
+    // A cell stamped after this rank's clock that no blocking call is
+    // waiting on has not arrived yet in virtual time; the host merely ran
+    // its sender first. Its drain (header read included) runs on the
+    // message's own timeline instead of the rank's clock, and the wait or
+    // test that completes the receive observes where that timeline ends.
+    // Control and ack traffic, synchronous sends, rendezvous descriptors
+    // and retransmissions stay on the rank's clock, so the acks and FINs
+    // they trigger are stamped after the data was consumed.
+    simtime::Ns* own_timeline = nullptr;
+    if (std::bit_cast<simtime::Ns>(header->stamp) > clock.now() &&
+        !is_internal_tag(tag) && !assembly.synchronous &&
+        !assembly.rendezvous &&
+        (header->flags & queue::kRetransmit) == 0) {
+      if (assembly.unexpected != nullptr) {
+        own_timeline = &assembly.unexpected->arrival;
+      } else if (assembly.request != nullptr &&
+                 !assembly.request->waited_on) {
+        own_timeline = &assembly.request->arrival;
+      }
+    }
+    if (own_timeline != nullptr) {
+      clock.reset(std::max(before_peek, *own_timeline) +
+                  (clock.now() - before_peek));
+    }
+
     // Deliver this chunk.
     queue::CellHeader consumed{};
     if (assembly.control) {
@@ -1302,6 +1332,10 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
     }
     if (!assembly.rendezvous) {
       assembly.received += header->chunk_bytes;
+    }
+    if (own_timeline != nullptr) {
+      *own_timeline = clock.now();
+      clock.reset(before_peek);
     }
     ++reaped;
 
@@ -1533,10 +1567,12 @@ bool Endpoint::test(const RequestPtr& request) {
   // Even an already-complete staged send may still hold a parked publish
   // batch; the application regaining control is a flush point.
   flush_publishes();
-  if (request->complete_) {
-    return true;
+  if (!request->complete_) {
+    progress();
   }
-  progress();
+  if (request->complete_) {
+    ctx_->clock().observe(request->arrival);
+  }
   return request->complete_;
 }
 
@@ -1547,6 +1583,8 @@ Status Endpoint::wait_uncharged(const RequestPtr& request) {
   // A fully-staged isend is already complete and skips the loop below —
   // its cells may still be parked, so flush before possibly returning.
   flush_publishes();
+  const bool outermost = !request->waited_on;  // else wait_all marked it
+  request->waited_on = true;
   while (!request->complete_) {
     // Arm-then-check: a peer's ring landing between progress() and the
     // sleep bumps the generation past `armed`, so wait_past returns
@@ -1558,6 +1596,8 @@ Status Endpoint::wait_uncharged(const RequestPtr& request) {
     }
     ctx_->doorbell().wait_past(armed);
   }
+  request->waited_on = !outermost;
+  ctx_->clock().observe(request->arrival);
   stats_->wait_ns += ctx_->clock().now() - entered;
   return request->result_;
 }
@@ -1573,12 +1613,20 @@ Status Endpoint::wait_all(std::span<const RequestPtr> requests) {
   // blocking loop per request.
   ctx_->charge_mpi_overhead();
   CMPI_OBS_SPAN_ARG("p2p.wait_all", "requests", requests.size());
+  // The whole set is what this call blocks on, whichever request the loop
+  // below happens to be waiting for.
+  for (const RequestPtr& r : requests) {
+    r->waited_on = true;
+  }
   Status first_error;
   for (const RequestPtr& r : requests) {
     const Status s = wait_uncharged(r);
     if (!s.is_ok() && first_error.is_ok()) {
       first_error = s;
     }
+  }
+  for (const RequestPtr& r : requests) {
+    r->waited_on = false;
   }
   return first_error;
 }
@@ -1680,6 +1728,7 @@ Status Endpoint::wait_for(const RequestPtr& request,
   const double entered = ctx_->clock().now();
   runtime::FailureDetector& detector = ctx_->failure_detector();
   flush_publishes();  // same early-complete staged-send case as wait()
+  request->waited_on = true;
   while (!request->complete_) {
     const std::uint64_t armed = ctx_->doorbell().epoch();
     progress();
@@ -1700,6 +1749,7 @@ Status Endpoint::wait_for(const RequestPtr& request,
           std::string(" involving rank ") + std::to_string(request->peer) +
           " missed its deadline");
       if (!cancel_request(request, timed)) {
+        request->waited_on = false;
         stats_->wait_ns += ctx_->clock().now() - entered;
         return timed;  // request left pending (see header)
       }
@@ -1707,6 +1757,8 @@ Status Endpoint::wait_for(const RequestPtr& request,
     }
     ctx_->doorbell().wait_past(armed);
   }
+  request->waited_on = false;
+  ctx_->clock().observe(request->arrival);
   stats_->wait_ns += ctx_->clock().now() - entered;
   return request->result_;
 }
@@ -1892,6 +1944,8 @@ std::optional<RecvInfo> Endpoint::iprobe(int src, int tag) {
   const UnexpectedMsgPtr msg =
       unexpected_.find_match(src, tag, /*require_full=*/false);
   if (msg != nullptr) {
+    // Reporting the envelope means the message has arrived.
+    ctx_->clock().observe(msg->arrival);
     RecvInfo info;
     info.source = msg->source;
     info.tag = msg->tag;

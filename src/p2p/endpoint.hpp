@@ -213,7 +213,14 @@ class Request {
   // recv fields
   std::span<std::byte> recv_buffer{};
   bool matched = false;
+  /// Virtual time the message was complete on its own timeline, when it was
+  /// drained while this rank waited on something else; observed into the
+  /// clock when the application completes the receive (wait/test).
+  simtime::Ns arrival = 0;
   // common
+  /// A blocking call (wait/wait_all/wait_for) is waiting on this request:
+  /// its cells move the rank's clock as they are drained.
+  bool waited_on = false;
   bool complete_ = false;
   Status result_;
   RecvInfo info_;

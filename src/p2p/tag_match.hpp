@@ -39,6 +39,7 @@
 
 #include "common/hash.hpp"
 #include "common/status.hpp"
+#include "simtime/vclock.hpp"
 
 namespace cmpi::p2p {
 
@@ -87,6 +88,9 @@ struct UnexpectedMsg {
   bool retry_pending = false;
   /// Media error recorded while chunks were drained (kDataPoisoned).
   Status data_error;
+  /// Virtual time the drained chunks were complete on the message's own
+  /// timeline; handed to the receive that matches it.
+  simtime::Ns arrival = 0;
   [[nodiscard]] bool full() const noexcept { return received == total; }
 };
 

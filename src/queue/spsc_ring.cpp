@@ -239,7 +239,9 @@ std::optional<CellHeader> SpscRing::peek(cxlsim::Accessor& acc) {
                 {reinterpret_cast<std::byte*>(&header), sizeof(CellHeader)});
     peeked_inline_bytes_ = 0;
   }
-  acc.clock().observe(std::bit_cast<simtime::Ns>(header.stamp));
+  // The stamp reaches the clock only when the cell is consumed: a peek of a
+  // cell the caller may not consume yet (a message for a receive it is not
+  // waiting on, a reap-cap re-peek) must not move the clock.
   peeked_ = header;
   return peeked_;
 }
@@ -254,6 +256,7 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
     inline_bytes = peeked_inline_bytes_;
     peeked_.reset();
     peeked_inline_bytes_ = 0;
+    acc.clock().observe(std::bit_cast<simtime::Ns>(header_out.stamp));
   } else if (!can_dequeue(acc)) {
     return false;
   } else {
@@ -332,8 +335,8 @@ SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
     } else {
       acc.nt_load(cell, {reinterpret_cast<std::byte*>(&header),
                          sizeof(CellHeader)});
-      acc.clock().observe(std::bit_cast<simtime::Ns>(header.stamp));
     }
+    acc.clock().observe(std::bit_cast<simtime::Ns>(header.stamp));
     // Do not trust the header: a torn cell's chunk_bytes could index out
     // of the cell. Validate generation first and clamp the payload walk.
     const bool generation_ok =

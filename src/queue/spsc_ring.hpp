@@ -34,7 +34,9 @@
 // finished with the cell. Each side absorbs the *per-cell* stamp of the
 // cell it touches, never the head/tail flag's stamp: the flags only carry
 // the newest publish time, and absorbing that would serialize an in-flight
-// pipeline into batch-lockstep and halve streaming throughput.
+// pipeline into batch-lockstep and halve streaming throughput. The
+// consumer absorbs a cell's stamp when it dequeues the cell, not when it
+// peeks the header.
 //
 // A message larger than cell_payload is split into consecutive cells
 // (§4.3); the SPSC FIFO guarantees chunks arrive in order and contiguously.
@@ -178,10 +180,12 @@ class SpscRing {
   /// nullopt when empty. Charges header-read time only on a fresh cell:
   /// the header is cached until the cell is consumed, so iprobe/probe
   /// polling loops re-peeking the same cell advance virtual time by zero.
+  /// Does not absorb the cell's stamp (try_dequeue does).
   std::optional<CellHeader> peek(cxlsim::Accessor& acc);
 
   /// Dequeue the next cell into `payload_out` (must be >= chunk_bytes of
-  /// the peeked header; pass empty to discard). Returns false when empty.
+  /// the peeked header; pass empty to discard) and absorb its stamp into
+  /// the clock. Returns false when empty.
   bool try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
                    std::span<std::byte> payload_out);
 

@@ -9,6 +9,12 @@
 // number. Single-writer slots need no atomicity; the timestamped flag in
 // each slot also propagates virtual time, so a barrier correctly
 // synchronizes rank clocks (the slowest rank's time wins).
+//
+// A rank can run at most one epoch ahead of a peer still waiting in the
+// barrier, so each slot holds two flags, one per epoch parity: a waiter
+// absorbs the stamp of the epoch it waits for, never the later stamp of a
+// peer that has already entered the next one (which would tie its clock to
+// how far the host let that peer run).
 #pragma once
 
 #include <chrono>
@@ -42,7 +48,7 @@ class SeqBarrier {
              std::size_t my_rank)
       : base_(base), ranks_(ranks), my_rank_(my_rank) {
     CMPI_EXPECTS(my_rank < ranks);
-    sequence_ = acc.peek_flag(slot(my_rank)).value;
+    sequence_ = latest(acc, base, my_rank);
   }
 
   /// Enter the barrier and block until all ranks have entered it at least
@@ -81,9 +87,20 @@ class SeqBarrier {
                          std::size_t ranks, std::size_t dead_rank);
 
  private:
-  [[nodiscard]] std::uint64_t slot(std::size_t rank) const noexcept {
-    return base_ + rank * kCacheLineSize;
+  /// Flag of `rank` for the epochs of `epoch`'s parity.
+  [[nodiscard]] static std::uint64_t flag(std::uint64_t base, std::size_t rank,
+                                          std::uint64_t epoch) noexcept {
+    return base + rank * kCacheLineSize +
+           (epoch % 2) * cxlsim::Accessor::kFlagBytes;
   }
+  [[nodiscard]] std::uint64_t flag(std::size_t rank,
+                                   std::uint64_t epoch) const noexcept {
+    return flag(base_, rank, epoch);
+  }
+  /// Latest epoch `rank` has entered (the larger of its two flags).
+  [[nodiscard]] static std::uint64_t latest(cxlsim::Accessor& acc,
+                                            std::uint64_t base,
+                                            std::size_t rank);
 
   std::uint64_t base_;
   std::size_t ranks_;

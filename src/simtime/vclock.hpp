@@ -47,7 +47,8 @@ class VClock {
     now_ = std::max(now_, remote_completion);
   }
 
-  /// Reset to a given time (benchmark iteration boundaries).
+  /// Reset to a given time (benchmark iteration boundaries; the p2p layer
+  /// also runs a drain on a message's own timeline, then resets back).
   void reset(Ns t = 0) noexcept {
     CMPI_EXPECTS(t >= 0);
     now_ = t;

@@ -40,39 +40,29 @@ TEST(CxlTiming, CpuCopyCostLinearBelowThreshold) {
 
 TEST(CxlTiming, CpuCopySoloStreamNeverDegrades) {
   CxlTimingModel model{CxlTimingParams{}};
-  CxlTimingModel::StreamScope self(model);
+  CopyStreams node;
+  const int self = 0;
   const auto& p = model.params();
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(8_MiB), 8_MiB / p.cpu_copy_bytes_per_ns);
+  const simtime::Ns solo = 8_MiB / p.cpu_copy_bytes_per_ns;
+  EXPECT_DOUBLE_EQ(node.charge(model, &self, 0, 8_MiB), solo);
+  // The stream's next copy, back to back, is still alone on the node.
+  EXPECT_DOUBLE_EQ(node.charge(model, &self, solo, 8_MiB), solo);
 }
 
 TEST(CxlTiming, CpuCopyDegradesWithConcurrentStreamsForLargeMessages) {
   CxlTimingModel model{CxlTimingParams{}};
-  CxlTimingModel::StreamScope s1(model);
-  CxlTimingModel::StreamScope s2(model);
-  CxlTimingModel::StreamScope s3(model);
-  CxlTimingModel::StreamScope s4(model);
+  CopyStreams node;
+  const int streams[4] = {};
+  for (int s = 0; s < 3; ++s) {
+    node.charge(model, &streams[s], 0, 8_MiB);
+  }
   const auto& p = model.params();
   // Small messages: contention-free even with 4 streams.
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(16_KiB),
+  EXPECT_DOUBLE_EQ(node.charge(model, &streams[3], 0, 16_KiB),
                    16_KiB / p.cpu_copy_bytes_per_ns);
   // Large messages: slower than the solo rate.
-  EXPECT_GT(model.cpu_copy_cost(8_MiB),
+  EXPECT_GT(node.charge(model, &streams[3], 0, 8_MiB),
             1.5 * (8_MiB / p.cpu_copy_bytes_per_ns));
-}
-
-TEST(CxlTiming, StreamScopeGaugeNests) {
-  CxlTimingModel model{CxlTimingParams{}};
-  EXPECT_EQ(model.active_streams(), 0);
-  {
-    CxlTimingModel::StreamScope a(model);
-    EXPECT_EQ(model.active_streams(), 1);
-    {
-      CxlTimingModel::StreamScope b(model);
-      EXPECT_EQ(model.active_streams(), 2);
-    }
-    EXPECT_EQ(model.active_streams(), 1);
-  }
-  EXPECT_EQ(model.active_streams(), 0);
 }
 
 TEST(CxlTiming, DeviceReadsCheaperThanWrites) {

@@ -165,7 +165,7 @@ TEST_F(SpscRingTest, RepeatedPeekOfSameCellIsTimeFree) {
   const auto payload = pattern(10, 1);
   ASSERT_TRUE(producer_->try_enqueue(*producer_acc_, header_for(payload, 9),
                                      payload));
-  // First peek charges the header read (and absorbs the producer stamp).
+  // First peek charges the header read (the stamp waits for the dequeue).
   const auto first = consumer_->peek(*consumer_acc_);
   ASSERT_TRUE(first.has_value());
   const double after_first = consumer_clock_.now();
