@@ -151,18 +151,6 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
-void BM_CopyAndCrc32c(benchmark::State& state) {
-  const std::vector<std::byte> src(static_cast<std::size_t>(state.range(0)),
-                                   std::byte{3});
-  std::vector<std::byte> dst(src.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(copy_and_crc32c(dst.data(), src));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_CopyAndCrc32c)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
-
 void BM_SpscRingRoundTrip(benchmark::State& state) {
   auto device = check_ok(cxlsim::DaxDevice::create(16_MiB));
   cxlsim::CacheSim cache_a(*device);

@@ -1,12 +1,10 @@
 // Message-rate fan-in bench: N senders -> 1 receiver, OSU osu_mbw_mr
 // style, at small payloads where per-message protocol cost dominates.
 //
-// This is the before/after artifact for the doorbell-aggregated progress
-// engine (p2p::Endpoint): "legacy scan" runs the pre-doorbell linear
-// per-peer ring scan with per-cell publication
-// (ProgressEngine::kLegacyScan), "doorbell" runs the aggregated-doorbell
-// engine with batched reaping and batched publication. Both rows come
-// from one binary so the JSON artifact carries its own ablation.
+// Measures the doorbell-aggregated progress engine (p2p::Endpoint) with
+// its batched reaping and batched publication. The pre-doorbell linear-
+// scan engine it replaced is recorded in EXPERIMENTS.md (Message-rate
+// engine) as a historical number.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -21,14 +19,13 @@ using namespace cmpi;
 namespace {
 
 osu::MsgRateParams params_for(int senders, std::size_t size, int window,
-                              int iters, int warmup, bool legacy) {
+                              int iters, int warmup) {
   osu::MsgRateParams params;
   params.size = size;
   params.senders = senders;
   params.window = window;
   params.iters = iters;
   params.warmup = warmup;
-  params.legacy_scan = legacy;
   return params;
 }
 
@@ -53,18 +50,12 @@ int main(int argc, char** argv) {
   for (const int senders : {2, 8, 16}) {
     table.set("doorbell", static_cast<std::size_t>(senders),
               osu::cxl_msgrate_fanin(
-                  params_for(senders, size, window, iters, warmup, false)));
-    table.set("legacy scan", static_cast<std::size_t>(senders),
-              osu::cxl_msgrate_fanin(
-                  params_for(senders, size, window, iters, warmup, true)));
+                  params_for(senders, size, window, iters, warmup)));
   }
   table.print(std::cout);
   if (csv) {
     table.print_csv(std::cout);
   }
-  const double speedup = osu::max_ratio(table, "doorbell", "legacy scan");
-  std::printf("\n  doorbell-aggregated progress: up to %.1fx the legacy"
-              " scan's message rate\n", speedup);
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {

@@ -89,25 +89,6 @@ std::uint32_t crc32c_sw(std::span<const std::byte> data,
   return ~crc;
 }
 
-std::uint32_t copy_and_crc32c_sw(std::byte* dst, const std::byte* src,
-                                 std::size_t n, std::uint32_t seed) noexcept {
-  const std::uint32_t* table = crc32c_table();
-  std::uint32_t crc = ~seed;
-  while (n >= 8) {
-    std::memcpy(dst, src, 8);
-    crc = slice8_step(table, crc, src);
-    src += 8;
-    dst += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    *dst++ = *src;
-    crc =
-        table[(crc ^ static_cast<std::uint32_t>(*src++)) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
 #if defined(CMPI_CRC32C_X86)
 
 namespace {
@@ -215,45 +196,6 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
   return ~crc32;
 }
 
-__attribute__((target("sse4.2"))) std::uint32_t copy_and_crc32c_hw(
-    std::byte* dst, const std::byte* src, std::size_t n,
-    std::uint32_t seed) noexcept {
-  std::uint64_t crc = ~seed;
-  while (n >= 3 * kLane) {
-    std::uint64_t crc1 = 0;
-    std::uint64_t crc2 = 0;
-    for (std::size_t i = 0; i < kLane; i += 8) {
-      const std::uint64_t v0 = load_u64(src + i);
-      const std::uint64_t v1 = load_u64(src + kLane + i);
-      const std::uint64_t v2 = load_u64(src + 2 * kLane + i);
-      std::memcpy(dst + i, &v0, sizeof(v0));
-      std::memcpy(dst + kLane + i, &v1, sizeof(v1));
-      std::memcpy(dst + 2 * kLane + i, &v2, sizeof(v2));
-      crc = _mm_crc32_u64(crc, v0);
-      crc1 = _mm_crc32_u64(crc1, v1);
-      crc2 = _mm_crc32_u64(crc2, v2);
-    }
-    crc = join_lanes(crc, crc1, crc2);
-    src += 3 * kLane;
-    dst += 3 * kLane;
-    n -= 3 * kLane;
-  }
-  while (n >= 8) {
-    const std::uint64_t v = load_u64(src);
-    std::memcpy(dst, &v, sizeof(v));
-    crc = _mm_crc32_u64(crc, v);
-    src += 8;
-    dst += 8;
-    n -= 8;
-  }
-  std::uint32_t crc32 = static_cast<std::uint32_t>(crc);
-  while (n-- > 0) {
-    *dst++ = *src;
-    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*src++));
-  }
-  return ~crc32;
-}
-
 #elif defined(CMPI_CRC32C_ARM)
 
 bool crc32c_hw_available() noexcept {
@@ -278,24 +220,6 @@ std::uint32_t crc32c_hw(std::span<const std::byte> data,
   return ~crc;
 }
 
-std::uint32_t copy_and_crc32c_hw(std::byte* dst, const std::byte* src,
-                                 std::size_t n, std::uint32_t seed) noexcept {
-  std::uint32_t crc = ~seed;
-  while (n >= 8) {
-    const std::uint64_t v = load_u64(src);
-    std::memcpy(dst, &v, sizeof(v));
-    crc = __crc32cd(crc, v);
-    src += 8;
-    dst += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    *dst++ = *src;
-    crc = __crc32cb(crc, static_cast<std::uint8_t>(*src++));
-  }
-  return ~crc;
-}
-
 #else
 
 bool crc32c_hw_available() noexcept { return false; }
@@ -303,11 +227,6 @@ bool crc32c_hw_available() noexcept { return false; }
 std::uint32_t crc32c_hw(std::span<const std::byte> data,
                         std::uint32_t seed) noexcept {
   return crc32c_sw(data, seed);
-}
-
-std::uint32_t copy_and_crc32c_hw(std::byte* dst, const std::byte* src,
-                                 std::size_t n, std::uint32_t seed) noexcept {
-  return copy_and_crc32c_sw(dst, src, n, seed);
 }
 
 #endif
@@ -320,14 +239,6 @@ std::uint32_t crc32c(std::span<const std::byte> data,
     return detail::crc32c_hw(data, seed);
   }
   return detail::crc32c_sw(data, seed);
-}
-
-std::uint32_t copy_and_crc32c(std::byte* dst, std::span<const std::byte> src,
-                              std::uint32_t seed) noexcept {
-  if (detail::crc32c_hw_available()) {
-    return detail::copy_and_crc32c_hw(dst, src.data(), src.size(), seed);
-  }
-  return detail::copy_and_crc32c_sw(dst, src.data(), src.size(), seed);
 }
 
 }  // namespace cmpi

@@ -21,7 +21,7 @@
 namespace cmpi {
 
 namespace detail {
-/// Lane length of the x86 hardware kernels: inputs of at least three lanes
+/// Lane length of the x86 hardware kernel: inputs of at least three lanes
 /// are checksummed as three interleaved kCrc32cLane-byte streams per block.
 inline constexpr std::size_t kCrc32cLane = 4096;
 
@@ -41,28 +41,11 @@ bool crc32c_hw_available() noexcept;
 /// Hardware implementation; only callable when crc32c_hw_available().
 std::uint32_t crc32c_hw(std::span<const std::byte> data,
                         std::uint32_t seed) noexcept;
-
-/// Fused copy+CRC, software path (exposed for the agreement test).
-std::uint32_t copy_and_crc32c_sw(std::byte* dst, const std::byte* src,
-                                 std::size_t n, std::uint32_t seed) noexcept;
-
-/// Fused copy+CRC, hardware path; only callable when crc32c_hw_available().
-std::uint32_t copy_and_crc32c_hw(std::byte* dst, const std::byte* src,
-                                 std::size_t n, std::uint32_t seed) noexcept;
 }  // namespace detail
 
 /// CRC32C of `data`, continuing from `seed` (pass the previous result to
 /// checksum a message in chunks). The empty span returns `seed` unchanged.
 std::uint32_t crc32c(std::span<const std::byte> data,
                      std::uint32_t seed = 0) noexcept;
-
-/// Copies `src` into `dst` while computing CRC32C of the bytes in the same
-/// traversal. Equivalent to `memcpy(dst, src, src.size())` followed by
-/// `crc32c(src, seed)` but touches the payload once instead of twice — the
-/// eager send path uses this to build its staging copy and the checksum in
-/// a single pass. `dst` must hold at least `src.size()` bytes and must not
-/// overlap `src`.
-std::uint32_t copy_and_crc32c(std::byte* dst, std::span<const std::byte> src,
-                              std::uint32_t seed = 0) noexcept;
 
 }  // namespace cmpi

@@ -60,9 +60,6 @@ runtime::UniverseConfig bench_universe_config(const SweepParams& params) {
   cfg.cell_payload = params.cell_payload;
   cfg.ring_cells = params.ring_cells;
   cfg.rendezvous_threshold = params.rendezvous_threshold;
-  cfg.rendezvous_quantum = params.rendezvous_quantum;
-  cfg.rendezvous_inflight = params.rendezvous_inflight;
-  cfg.tune = params.tune;
   cfg.arena_params.levels = 4;
   cfg.arena_params.level1_buckets = 127;
   // Pool: ring matrix + windows + metadata, with generous slack. The memfd
@@ -275,9 +272,6 @@ double cxl_msgrate_fanin(const MsgRateParams& params) {
   // benchmark; a 64 KiB cell would only waste pool space.
   cfg.cell_payload = 4 * 1024;
   cfg.ring_cells = params.ring_cells;
-  cfg.progress_engine = params.legacy_scan
-                            ? runtime::ProgressEngine::kLegacyScan
-                            : runtime::ProgressEngine::kDoorbell;
   const std::size_t matrix = queue::QueueMatrix::footprint(
       params.senders + 1, cfg.ring_cells, cfg.cell_payload);
   cfg.pool_size = std::max<std::size_t>(64_MiB, 2 * matrix + 32_MiB);

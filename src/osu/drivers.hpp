@@ -43,13 +43,6 @@ struct SweepParams {
   /// payload); SIZE_MAX effectively disables the large-message path so a
   /// sweep can measure the eager-only baseline.
   std::size_t rendezvous_threshold = 0;
-  /// Rendezvous pipeline quantum / inflight depth (0 = library defaults) —
-  /// the knobs bench/autotune sweeps alongside the Fig 9 axes.
-  std::size_t rendezvous_quantum = 0;
-  std::size_t rendezvous_inflight = 0;
-  /// Self-tuning options forwarded to the UniverseConfig (kAuto = follow
-  /// the CMPI_TUNE environment, as everywhere else).
-  tune::TuneOptions tune{};
 };
 
 /// Message window for a given size (OSU window, adaptively bounded).
@@ -92,9 +85,6 @@ struct MsgRateParams {
   int iters = 10;         ///< timed iterations
   int warmup = 2;         ///< untimed iterations
   std::size_t ring_cells = 64;
-  /// Run the pre-doorbell linear-scan progress engine instead
-  /// (ProgressEngine::kLegacyScan) — the before/after ablation knob.
-  bool legacy_scan = false;
 };
 
 /// Aggregate messages/second observed by the receiver (virtual time).

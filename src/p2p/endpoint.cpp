@@ -11,7 +11,6 @@
 #include "common/log.hpp"
 #include "cxlsim/fault_injector.hpp"
 #include "obs/obs.hpp"
-#include "tune/tune.hpp"
 
 namespace cmpi::p2p {
 
@@ -59,60 +58,30 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
       drain_pending_(static_cast<std::size_t>(ctx.nranks()), 0),
       publish_dirty_(static_cast<std::size_t>(ctx.nranks()), 0),
       stats_(std::make_unique<CommStats>()) {
-  const std::size_t configured = ctx.config().rendezvous_threshold;
-  rdvz_threshold_ = configured == 0 ? matrix_.cell_payload() : configured;
-  // Resolve every tunable knob into the policy defaults. With tuning off
-  // the static policy hands these back unchanged from every settings()
-  // call — the data path is bit-identical to reading the constants.
-  tune::KnobSettings defaults;
-  defaults.rendezvous_threshold = rdvz_threshold_;
-  defaults.pipeline_quantum = ctx.config().rendezvous_quantum == 0
-                                  ? kRendezvousSegmentBytes
-                                  : ctx.config().rendezvous_quantum;
-  defaults.inflight_depth = ctx.config().rendezvous_inflight == 0
-                                ? kMaxRendezvousInflight
-                                : ctx.config().rendezvous_inflight;
-  defaults.publish_batch_cells = kPublishBatchCells;
-  defaults.publish_batch_bytes = kPublishBatchBytes;
-  if (tune::tuning_enabled(ctx.config().tune)) {
-    policy_ = tune::Policy::make_adaptive(ctx.nranks(), defaults);
-    table_ = tune::shared_table(ctx.config().tune);
-    tune::ControllerConfig tuner;
-    tuner.period_ns = ctx.config().tune.period_ns;
-    // Below one cell payload the eager path is a single enqueue and
-    // rendezvous can only lose; keep the threshold floor there. The
-    // quantum floor tracks the cell payload too so a tuned-down segment
-    // still fills whole bulk pieces.
-    tuner.min_threshold = std::max(tuner.min_threshold,
-                                   matrix_.cell_payload());
-    tuner.min_quantum = std::max(tuner.min_quantum, matrix_.cell_payload());
-    tuner.cell_payload = matrix_.cell_payload();
-    tuner.seed = tune::resolve_seed(ctx.config().tune, ctx.rank());
-    controller_ = std::make_unique<tune::Controller>(tuner, table_.get());
-  } else {
-    policy_ = tune::Policy::make_static(ctx.nranks(), defaults);
-  }
-  legacy_ =
-      ctx.config().progress_engine == runtime::ProgressEngine::kLegacyScan;
+  const runtime::UniverseConfig& cfg = ctx.config();
+  rdvz_threshold_ = cfg.rendezvous_threshold == 0 ? matrix_.cell_payload()
+                                                  : cfg.rendezvous_threshold;
+  rdvz_quantum_ = cfg.rendezvous_quantum == 0 ? kRendezvousSegmentBytes
+                                              : cfg.rendezvous_quantum;
+  rdvz_inflight_max_ = cfg.rendezvous_inflight == 0 ? kMaxRendezvousInflight
+                                                    : cfg.rendezvous_inflight;
   // Batched cell publication coarsens which cells are visible at a
   // scripted kill point; the fault/recovery tests assert exact per-sync-
   // point published-cell counts, so any configured injector keeps the
   // per-cell publish discipline (perf runs carry no injector).
-  publish_per_cell_ = legacy_ || ctx.device().fault_injector() != nullptr;
-  if (!legacy_) {
-    for (int r = 0; r < ctx.nranks(); ++r) {
-      if (r == ctx.rank()) {
-        continue;
-      }
-      const auto s = static_cast<std::size_t>(r);
-      // Sender side: the pool word survives respawns; continuing past it
-      // keeps the slot monotonic whether or not scavenge cleared it.
-      dbell_next_[s] = dbell_.peek(ctx.acc(), r, ctx.rank()) + 1;
-      // Receiver side: start one behind so the first progress() visits
-      // every peer once (cells published before we attached have no edge
-      // ring coming).
-      dbell_seen_[s] = dbell_.peek(ctx.acc(), ctx.rank(), r) - 1;
+  publish_per_cell_ = ctx.device().fault_injector() != nullptr;
+  for (int r = 0; r < ctx.nranks(); ++r) {
+    if (r == ctx.rank()) {
+      continue;
     }
+    const auto s = static_cast<std::size_t>(r);
+    // Sender side: the pool word survives respawns; continuing past it
+    // keeps the slot monotonic whether or not scavenge cleared it.
+    dbell_next_[s] = dbell_.peek(ctx.acc(), r, ctx.rank()) + 1;
+    // Receiver side: start one behind so the first progress() visits
+    // every peer once (cells published before we attached have no edge
+    // ring coming).
+    dbell_seen_[s] = dbell_.peek(ctx.acc(), ctx.rank(), r) - 1;
   }
   obs_registration_ = obs::ProviderRegistration([stats = stats_.get()] {
     return std::vector<obs::Sample>{
@@ -310,8 +279,7 @@ RequestPtr Endpoint::isend(int dst, int tag,
   request->tag = tag;
   request->send_data = data;
   request->rendezvous =
-      !is_internal_tag(tag) &&
-      data.size() > policy_.settings(dst).rendezvous_threshold;
+      !is_internal_tag(tag) && data.size() > rdvz_threshold_;
   request->seq = send_seq_[static_cast<std::size_t>(dst)]++;
   if (!is_internal_tag(tag)) {
     ++stats_->messages_sent;
@@ -339,8 +307,7 @@ RequestPtr Endpoint::issend(int dst, int tag,
   request->peer = dst;
   request->tag = tag;
   request->send_data = data;
-  request->rendezvous =
-      data.size() > policy_.settings(dst).rendezvous_threshold;
+  request->rendezvous = data.size() > rdvz_threshold_;
   request->seq = send_seq_[static_cast<std::size_t>(dst)]++;
   ++stats_->messages_sent;
   stats_->bytes_sent += data.size();
@@ -365,8 +332,6 @@ void Endpoint::push_sends(int dst) {
   auto& pending = send_queues_[static_cast<std::size_t>(dst)];
   queue::SpscRing& ring = matrix_.ring(ctx_->acc(), dst, rank());
   const std::size_t cell = matrix_.cell_payload();
-  const tune::KnobSettings& knobs = policy_.settings(dst);
-  tune::DestSignals& signals = policy_.signals(dst);
   // Bytes staged-but-unpublished by THIS call (the cell-count threshold
   // reads ring.staged_pending() directly).
   std::size_t batch_bytes = 0;
@@ -405,8 +370,8 @@ void Endpoint::push_sends(int dst) {
                        req.force_flags;
         const auto payload = req.send_data.subspan(req.bytes_pushed, chunk);
         if (!req.chunk_crcs.empty()) {
-          // The fused staging pass already checksummed each cell chunk;
-          // hand the CRC in so the ring skips its own pass.
+          // The staging pass already checksummed each cell chunk; hand
+          // the CRC in so the ring skips its own pass.
           header.payload_crc = req.chunk_crcs[req.bytes_pushed / cell];
         }
         const bool prehashed = !req.chunk_crcs.empty();
@@ -428,15 +393,14 @@ void Endpoint::push_sends(int dst) {
                          : ring.try_stage(ctx_->acc(), header, payload);
         }
         if (!enqueued) {
-          ++signals.ring_full;
           break;
         }
         made_progress = true;
         req.bytes_pushed += chunk;
         batch_bytes += chunk;
         if (!publish_per_cell_ &&
-            (ring.staged_pending() >= knobs.publish_batch_cells ||
-             batch_bytes >= knobs.publish_batch_bytes)) {
+            (ring.staged_pending() >= kPublishBatchCells ||
+             batch_bytes >= kPublishBatchBytes)) {
           publish_now(dst, ring);
           batch_bytes = 0;
         }
@@ -467,8 +431,6 @@ void Endpoint::push_sends(int dst) {
         // traffic and retransmissions excluded, mirroring messages_sent).
         ++stats_->eager_messages;
         stats_->eager_bytes += total;
-        ++signals.eager_messages;
-        signals.eager_bytes += total;
       }
     }
     if (req.synchronous) {
@@ -522,9 +484,6 @@ void Endpoint::flush_publishes() {
 }
 
 void Endpoint::note_publish(int dst, bool edge) {
-  if (legacy_) {
-    return;  // the legacy engine scans every ring; no doorbell traffic
-  }
   if (edge) {
     const auto d = static_cast<std::size_t>(dst);
     dbell_.ring(ctx_->acc(), dst, rank(), dbell_next_[d]++);
@@ -537,12 +496,9 @@ void Endpoint::note_publish(int dst, bool edge) {
 Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
                                              Request& req) {
   const std::size_t total = req.send_data.size();
-  const tune::KnobSettings& knobs = policy_.settings(dst);
-  tune::DestSignals& signals = policy_.signals(dst);
   auto& inflight = rdvz_inflight_[static_cast<std::size_t>(dst)];
   if (!req.rdvz_slot.has_value()) {
-    if (inflight.size() >= knobs.inflight_depth) {
-      ++signals.inflight_blocked;
+    if (inflight.size() >= rdvz_inflight_max_) {
       return RdvzPush::kBlocked;  // wait for the receiver's FINs
     }
     Result<arena::ObjectHandle> slot = acquire_rdvz_slot(dst, total);
@@ -565,17 +521,11 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
   // per-cell overlap), large enough that the per-segment RTS/fence cost
   // stays amortized on multi-MiB messages. Only the sender chooses — the
   // receiver follows whatever bounds each RTS descriptor carries. The cap
-  // is the per-destination pipeline quantum (default
-  // kRendezvousSegmentBytes); floored at piece_max so a tuned-down
-  // quantum still covers one bulk piece. Latched per message: the knob
-  // moving between resumed announcement attempts must not shift the
-  // segment boundaries the staged CRC was computed over.
-  if (req.rdvz_quantum == 0) {
-    req.rdvz_quantum =
-        std::clamp((total / 8 + piece_max - 1) / piece_max * piece_max,
-                   piece_max, std::max(piece_max, knobs.pipeline_quantum));
-  }
-  const std::size_t seg_quantum = req.rdvz_quantum;
+  // is the configured quantum (default kRendezvousSegmentBytes), floored
+  // at piece_max so a small quantum still covers one bulk piece.
+  const std::size_t seg_quantum =
+      std::clamp((total / 8 + piece_max - 1) / piece_max * piece_max,
+                 piece_max, std::max(piece_max, rdvz_quantum_));
   bool enqueued_any = false;
   while (req.bytes_pushed < total) {
     const std::size_t seg_begin = req.bytes_pushed;
@@ -598,7 +548,6 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
       acc.fault_sync_point("p2p-rdvz-slab-written");
     }
     if (!ring.can_enqueue(acc)) {
-      ++signals.ring_full;
       break;  // the written segment is announced on a later attempt
     }
     RdvzDescriptor desc;
@@ -648,8 +597,6 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
   req.rdvz_slot.reset();
   ++stats_->rendezvous_sent;
   stats_->rendezvous_bytes += total;
-  ++signals.rdvz_messages;
-  signals.rdvz_bytes += total;
   return RdvzPush::kStaged;
 }
 
@@ -771,19 +718,20 @@ void Endpoint::prepare_eager_staging(Request& req) {
       !req.chunk_crcs.empty()) {
     return;
   }
-  // One fused pass replaces three (memcpy for staging, CRC in the ring's
-  // enqueue, and the eventual retransmit source): copy into the staging
-  // buffer while folding the CRC per cell chunk, then push the cells
-  // straight out of that copy with try_enqueue_prehashed. Host-side
-  // bookkeeping (like a NIC retaining its DMA buffer) — no virtual time.
+  // The staging copy serves both the ring enqueue and the eventual
+  // retransmit source; each cell chunk is checksummed right after it is
+  // copied (still cache-hot), and the cells are pushed straight out of
+  // the copy with try_enqueue_prehashed. Host-side bookkeeping (like a
+  // NIC retaining its DMA buffer) — no virtual time.
   const std::size_t total = req.send_data.size();
   const std::size_t cell = matrix_.cell_payload();
   req.owned.resize(total);
   req.chunk_crcs.reserve((total + cell - 1) / cell);
   for (std::size_t off = 0; off < total; off += cell) {
     const std::size_t chunk = std::min(cell, total - off);
-    req.chunk_crcs.push_back(copy_and_crc32c(
-        req.owned.data() + off, req.send_data.subspan(off, chunk)));
+    std::memcpy(req.owned.data() + off, req.send_data.data() + off, chunk);
+    req.chunk_crcs.push_back(
+        crc32c(std::span<const std::byte>(req.owned).subspan(off, chunk)));
   }
   req.send_data = req.owned;
 }
@@ -1103,21 +1051,17 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
   // Batched reaping: the head publish (and with it the invalidate-sweep
   // setup the consumer pays per published head) is deferred across the
   // whole batch and flushed once at every exit below.
-  const bool defer = !legacy_;
-  if (defer) {
-    ring.defer_head_publish(true);
-    // Fused header+payload-line reads on the fault-free hot path only:
-    // the fault/recovery suites pin the pre-change access pattern (their
-    // scripted poison/kill points count individual pool touches), and the
-    // legacy ablation must model the pre-change engine.
-    ring.enable_fused_small_reads(ctx_->device().fault_injector() == nullptr);
-  }
+  ring.defer_head_publish(true);
+  // Fused header+payload-line reads on the fault-free hot path only: the
+  // fault/recovery suites pin the unfused access pattern (their scripted
+  // poison/kill points count individual pool touches).
+  ring.enable_fused_small_reads(ctx_->device().fault_injector() == nullptr);
   simtime::VClock& clock = ctx_->clock();
   std::size_t reaped = 0;
   while (reaped < max_cells) {
     simtime::Ns before_peek = clock.now();
     std::optional<queue::CellHeader> header = ring.peek(ctx_->acc());
-    if (!header.has_value() && defer) {
+    if (!header.has_value()) {
       // Publish our true head BEFORE concluding empty: the producer's
       // edge detection compares against the published head, and a stale
       // one makes it suppress the doorbell for cells we have not seen —
@@ -1425,13 +1369,11 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       assembly = Assembly{};
     }
   }
-  if (defer) {
-    // One head publish covers the whole batch — including the reap-cap
-    // exit, so a crashed receiver's unpublished-head window never spans
-    // calls (at-least-once redelivery stays confined to one drain).
-    ring.flush_head(ctx_->acc());
-    ring.defer_head_publish(false);
-  }
+  // One head publish covers the whole batch — including the reap-cap
+  // exit, so a crashed receiver's unpublished-head window never spans
+  // calls (at-least-once redelivery stays confined to one drain).
+  ring.flush_head(ctx_->acc());
+  ring.defer_head_publish(false);
   DrainOutcome out;
   out.drained_any = reaped > 0;
   out.more = reaped >= max_cells && ring.peek(ctx_->acc()).has_value();
@@ -1447,60 +1389,41 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
 // ---------- Progress / completion ----------
 
 void Endpoint::progress() {
-  if (controller_ != nullptr) {
-    const simtime::Ns now = ctx_->clock().now();
-    if (controller_->due(now)) {
-      controller_->poll(
-          now, policy_,
-          tune::gather_global_signals(
-              ctx_->recovery_counters().retransmits.load(
-                  std::memory_order_relaxed)));
+  ++progress_calls_;
+  // Periodic full scan: the doorbell hint is an unfenced fire-and-forget
+  // store, so its staleness must be bounded by something fenced — this is
+  // it (the flush-head-before-empty handshake in drain_source makes losses
+  // rare; this makes them harmless).
+  const bool full_scan = progress_calls_ % kFullScanInterval == 0;
+  const int n = nranks();
+  for (int i = 0; i < n; ++i) {
+    // Rotating start: two saturating senders hitting the reap cap are
+    // served round-robin instead of lowest-rank-first.
+    const int src = (scan_start_ + i) % n;
+    if (src == rank()) {
+      continue;
+    }
+    const auto s = static_cast<std::size_t>(src);
+    const std::uint64_t bell = dbell_.peek(ctx_->acc(), rank(), src);
+    const bool rung = bell != dbell_seen_[s];
+    if (!rung && drain_pending_[s] == 0 && !full_scan) {
+      continue;  // the common case: one free peek, no ring touch
+    }
+    if (rung) {
+      CMPI_OBS_COUNT("p2p.doorbell_visits", 1);
+    }
+    const DrainOutcome out = drain_source(src, kReapBatchCells);
+    if (rung && !out.drained_any) {
+      CMPI_OBS_COUNT("p2p.doorbell_spurious", 1);
+    }
+    drain_pending_[s] = out.more ? 1 : 0;
+    if (!out.more) {
+      // Advance past the value read BEFORE the drain: a ring landing
+      // during the drain keeps slot != seen, forcing a revisit.
+      dbell_seen_[s] = bell;
     }
   }
-  if (legacy_) {
-    // Ablation baseline: visit every peer, drain each ring dry.
-    for (int src = 0; src < nranks(); ++src) {
-      if (src != rank()) {
-        drain_source(src, std::numeric_limits<std::size_t>::max());
-      }
-    }
-  } else {
-    ++progress_calls_;
-    // Periodic full scan: the doorbell hint is an unfenced fire-and-forget
-    // store, so its staleness must be bounded by something fenced — this
-    // is it (the flush-head-before-empty handshake in drain_source makes
-    // losses rare; this makes them harmless).
-    const bool full_scan = progress_calls_ % kFullScanInterval == 0;
-    const int n = nranks();
-    for (int i = 0; i < n; ++i) {
-      // Rotating start: two saturating senders hitting the reap cap are
-      // served round-robin instead of lowest-rank-first.
-      const int src = (scan_start_ + i) % n;
-      if (src == rank()) {
-        continue;
-      }
-      const auto s = static_cast<std::size_t>(src);
-      const std::uint64_t bell = dbell_.peek(ctx_->acc(), rank(), src);
-      const bool rung = bell != dbell_seen_[s];
-      if (!rung && drain_pending_[s] == 0 && !full_scan) {
-        continue;  // the common case: one free peek, no ring touch
-      }
-      if (rung) {
-        CMPI_OBS_COUNT("p2p.doorbell_visits", 1);
-      }
-      const DrainOutcome out = drain_source(src, kReapBatchCells);
-      if (rung && !out.drained_any) {
-        CMPI_OBS_COUNT("p2p.doorbell_spurious", 1);
-      }
-      drain_pending_[s] = out.more ? 1 : 0;
-      if (!out.more) {
-        // Advance past the value read BEFORE the drain: a ring landing
-        // during the drain keeps slot != seen, forcing a revisit.
-        dbell_seen_[s] = bell;
-      }
-    }
-    scan_start_ = (scan_start_ + 1) % n;
-  }
+  scan_start_ = (scan_start_ + 1) % n;
   for (int dst = 0; dst < nranks(); ++dst) {
     if (!send_queues_[static_cast<std::size_t>(dst)].empty()) {
       push_sends(dst);
@@ -1728,6 +1651,11 @@ Status Endpoint::wait_for(const RequestPtr& request,
   const double entered = ctx_->clock().now();
   runtime::FailureDetector& detector = ctx_->failure_detector();
   flush_publishes();  // same early-complete staged-send case as wait()
+  // Beat on entry, not only after a pass that left the request pending: a
+  // rank draining messages that have already arrived completes every call
+  // at once and must still refresh its lease (beat() is rate-limited to
+  // lease/8, so this is almost always a no-op).
+  detector.beat(ctx_->acc());
   request->waited_on = true;
   while (!request->complete_) {
     const std::uint64_t armed = ctx_->doorbell().epoch();
@@ -1925,14 +1853,12 @@ Endpoint::PeerScavengeReport Endpoint::scavenge_peer(int dead_rank) {
   std::erase_if(retry_, [&](const auto& entry) {
     return entry.first.first == dead_rank;
   });
-  if (!legacy_) {
-    // PoolRecovery clears the corpse's doorbell slots; resync our local
-    // cursor so the respawned incarnation's FIRST ring is not mistaken
-    // for already-seen (and drop any pending-revisit debt — the ring was
-    // just tombstoned empty).
-    dbell_seen_[dead] = dbell_.peek(ctx_->acc(), rank(), dead_rank) - 1;
-    drain_pending_[dead] = 0;
-  }
+  // PoolRecovery clears the corpse's doorbell slots; resync our local
+  // cursor so the respawned incarnation's FIRST ring is not mistaken for
+  // already-seen (and drop any pending-revisit debt — the ring was just
+  // tombstoned empty).
+  dbell_seen_[dead] = dbell_.peek(ctx_->acc(), rank(), dead_rank) - 1;
+  drain_pending_[dead] = 0;
   return report;
 }
 

@@ -52,8 +52,7 @@
 // per-visit reap bound round-robins saturating senders fairly. A periodic
 // full scan (every kFullScanInterval calls) plus the flush-head-before-
 // concluding-empty discipline bound the staleness of the unfenced
-// doorbell hint; UniverseConfig::progress_engine = kLegacyScan keeps the
-// pre-doorbell linear-scan engine alive as the ablation baseline.
+// doorbell hint.
 //
 // Large-message fast path (one-copy rendezvous): a message larger than
 // the configured threshold (UniverseConfig::rendezvous_threshold; default
@@ -90,8 +89,6 @@
 #include "p2p/tag_match.hpp"
 #include "queue/queue_matrix.hpp"
 #include "runtime/universe.hpp"
-#include "tune/controller.hpp"
-#include "tune/policy.hpp"
 
 namespace cmpi::p2p {
 
@@ -197,19 +194,14 @@ class Request {
   std::vector<std::byte> owned;      // payload owned by the request itself
                                      // (control messages, retransmissions,
                                      // eager staging copies)
-  /// Per-cell CRC32Cs computed while building `owned` (one fused
-  /// copy+checksum pass); the ring enqueues prehashed from these.
+  /// Per-cell CRC32Cs computed while building `owned`; the ring enqueues
+  /// prehashed from these.
   std::vector<std::uint32_t> chunk_crcs;
   // rendezvous send fields (large-message one-copy path)
   bool rendezvous = false;           // path decided at isend/issend time
   std::optional<arena::ObjectHandle> rdvz_slot;  // slab while announcing
   std::size_t rdvz_written = 0;      // slab bytes already written
   std::uint32_t rdvz_seg_crc = 0;    // CRC of the written-but-unannounced seg
-  /// Segment quantum latched at the first announcement attempt: a tuner
-  /// moving the pipeline-quantum knob between attempts must not shift the
-  /// segment boundaries of a half-announced message (the staged CRC is
-  /// per-segment).
-  std::size_t rdvz_quantum = 0;
   // recv fields
   std::span<std::byte> recv_buffer{};
   bool matched = false;
@@ -395,16 +387,6 @@ class Endpoint {
   [[nodiscard]] std::size_t rendezvous_threshold() const noexcept {
     return rdvz_threshold_;
   }
-  /// Live knob settings toward `dst`. Static mode (tuning off) returns the
-  /// construction-time defaults for every destination.
-  [[nodiscard]] const tune::KnobSettings& knobs(int dst) const noexcept {
-    return policy_.settings(dst);
-  }
-  /// The periodic knob controller, or null when tuning is off. Exposes the
-  /// decision journal to tests and benches.
-  [[nodiscard]] const tune::Controller* tune_controller() const noexcept {
-    return controller_.get();
-  }
 
   /// What scavenge_peer reclaimed from this endpoint's view of a corpse.
   struct PeerScavengeReport {
@@ -473,7 +455,7 @@ class Endpoint {
     int tag = 0;
     bool synchronous = false;
     std::vector<std::byte> data;
-    /// Per-cell CRCs carried over from the fused staging pass, so a
+    /// Per-cell CRCs carried over from the staging pass, so a
     /// retransmission enqueues prehashed too.
     std::vector<std::uint32_t> chunk_crcs;
   };
@@ -555,8 +537,7 @@ class Endpoint {
                                bool& truncated);
 
   /// Build the staging copy + per-cell CRCs for an eligible eager user
-  /// send in one fused pass over the payload (common/crc32c), and point
-  /// the request's send_data at the copy.
+  /// send, and point the request's send_data at the copy.
   void prepare_eager_staging(Request& request);
   /// Keep a copy of a just-staged user payload for retransmission (moves
   /// the request's staging copy; call after send_data is dropped).
@@ -599,19 +580,12 @@ class Endpoint {
   /// recycled-slot cache.
   std::vector<std::deque<RdvzInflight>> rdvz_inflight_;
   std::vector<std::deque<arena::ObjectHandle>> rdvz_slot_cache_;
-  std::size_t rdvz_threshold_ = 0;   // resolved switchover (bytes)
-  /// Knob routing (tune subsystem): every tunable constant above reaches
-  /// the hot paths through policy_. Static mode hands back the
-  /// construction-time defaults for every destination — bit-identical to
-  /// reading the constants — while adaptive mode gives the controller a
-  /// per-destination copy to steer.
-  tune::Policy policy_;
-  /// Periodic AIMD controller; null unless tuning is enabled, so the off
-  /// path costs exactly one pointer test per progress() call.
-  std::unique_ptr<tune::Controller> controller_;
-  /// Warm-start dispatch table, shared across endpoints reading the same
-  /// file; owned here because the controller keeps a raw pointer to it.
-  std::shared_ptr<const tune::DispatchTable> table_;
+  /// Rendezvous knobs resolved from the UniverseConfig at construction;
+  /// a 0 there selects one cell payload, kRendezvousSegmentBytes and
+  /// kMaxRendezvousInflight respectively.
+  std::size_t rdvz_threshold_ = 0;     // eager/rendezvous switchover
+  std::size_t rdvz_quantum_ = 0;       // segment quantum cap
+  std::size_t rdvz_inflight_max_ = 0;  // un-FINished slots per destination
   std::uint64_t rdvz_name_counter_ = 0;  // unique slab names
   /// Messages awaiting retransmission, keyed (source, msg_seq).
   std::map<std::pair<int, std::uint32_t>, RetryState> retry_;
@@ -633,10 +607,9 @@ class Endpoint {
   std::vector<std::uint8_t> publish_dirty_;
   int scan_start_ = 0;             // rotating fairness offset
   std::uint64_t progress_calls_ = 0;
-  bool legacy_ = false;            // kLegacyScan ablation engine
-  /// Publish every cell individually (legacy engine, or any fault
-  /// injector configured: scripted kill points assert exact per-sync-point
-  /// published-cell counts, which batching would coarsen).
+  /// Publish every cell individually when a fault injector is installed:
+  /// scripted kill points assert exact per-sync-point published-cell
+  /// counts, which batching would coarsen.
   bool publish_per_cell_ = false;
   /// Keeps matched-but-incomplete posted receives alive while their chunks
   /// stream in (the assembly holds a raw pointer).

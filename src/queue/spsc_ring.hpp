@@ -132,9 +132,8 @@ class SpscRing {
 
   /// Same as try_enqueue, but trusts `header.payload_crc` as supplied by
   /// the caller instead of computing CRC32C over `payload` here. The p2p
-  /// eager path computes the checksum while building its staging copy
-  /// (one fused pass over the payload) and hands it in, so the ring does
-  /// not traverse the bytes a second time.
+  /// eager path checksums each chunk as it builds its staging copy and
+  /// hands the CRC in, so the ring does not traverse the bytes again.
   bool try_enqueue_prehashed(cxlsim::Accessor& acc, const CellHeader& header,
                              std::span<const std::byte> payload);
 
@@ -205,9 +204,8 @@ class SpscRing {
   /// latency instead of two (see Accessor::nt_load) — and a dequeue whose
   /// chunk fits the prefetched line skips the separate payload read (and
   /// its invalidate sweep) entirely. This is the dominant per-message
-  /// receiver cost at small sizes. Enabled by the doorbell progress
-  /// engine on its fault-free hot path; the legacy-scan ablation and the
-  /// fault/recovery paths keep the pre-change split reads.
+  /// receiver cost at small sizes. Enabled by the p2p progress engine on
+  /// its fault-free hot path; the fault/recovery paths keep split reads.
   void enable_fused_small_reads(bool on) noexcept { fused_reads_ = on; }
 
   /// Consumer-side crash symptom: the last dequeued cell was a non-final

@@ -1,6 +1,5 @@
 #include "runtime/config_validate.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -39,11 +38,6 @@ Status validate(const UniverseConfig& config) {
         "UniverseConfig: rendezvous_inflight must be 0 (default) or in [1, " +
         std::to_string(kMaxInflight) + "], got " +
         std::to_string(config.rendezvous_inflight));
-  }
-  if (!(config.tune.period_ns > 0) || !std::isfinite(config.tune.period_ns)) {
-    return status::invalid_argument(
-        "UniverseConfig: tune.period_ns must be finite and > 0, got " +
-        std::to_string(config.tune.period_ns));
   }
   return Status::ok();
 }

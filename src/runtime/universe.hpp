@@ -41,7 +41,6 @@
 #include "runtime/failure_detector.hpp"
 #include "runtime/seq_barrier.hpp"
 #include "simtime/vclock.hpp"
-#include "tune/options.hpp"
 
 namespace cmpi::runtime {
 
@@ -50,16 +49,6 @@ enum class CoherenceChecking {
   kAuto,      ///< follow the CMPI_COHERENCE_CHECK environment variable
   kEnabled,   ///< always interpose the checker
   kDisabled,  ///< never interpose, even if the environment asks for it
-};
-
-/// Which progress engine the p2p endpoints run (see p2p::Endpoint).
-enum class ProgressEngine {
-  /// Doorbell-aggregated delivery: the receiver polls its AggDoorbell row
-  /// and visits only active peers, reaping cells in amortized batches.
-  kDoorbell,
-  /// The pre-doorbell engine: linear scan of every peer ring with per-cell
-  /// publishes. Kept as the message-rate ablation baseline.
-  kLegacyScan,
 };
 
 struct UniverseConfig {
@@ -96,14 +85,6 @@ struct UniverseConfig {
   /// destination. 0 selects the default
   /// (p2p::Endpoint::kMaxRendezvousInflight, 8); nonzero must be <= 64.
   std::size_t rendezvous_inflight = 0;
-  /// Telemetry-driven self-tuning (see src/tune): off by default
-  /// (Tuning::kAuto follows CMPI_TUNE). When the controller is on, the
-  /// three knobs above become per-destination starting points instead of
-  /// fixed values.
-  tune::TuneOptions tune{};
-  /// p2p progress engine (doorbell-aggregated by default; kLegacyScan is
-  /// the message-rate ablation baseline).
-  ProgressEngine progress_engine = ProgressEngine::kDoorbell;
   /// §3.5's rejected alternative to software coherence: mark the whole
   /// pool uncachable via MTRR. Correct but drastically slower past the
   /// PCIe MPS (see bench/ablation_coherence_mode and Fig. 11).

@@ -70,43 +70,9 @@ TEST(Crc32c, HardwareAgreesWithSoftware) {
   }
 }
 
-TEST(Crc32c, FusedCopyMatchesMemcpyPlusCrc) {
-  Rng rng(3);
-  for (int round = 0; round < 32; ++round) {
-    const std::size_t size = rng.next_below(2000) + 1;
-    const std::vector<std::byte> src = random_bytes(size, 200 + round);
-    std::vector<std::byte> dst(size, std::byte{0xAA});
-    const auto seed = static_cast<std::uint32_t>(rng.next_below(1u << 31));
-    const std::uint32_t fused = copy_and_crc32c(dst.data(), src, seed);
-    EXPECT_EQ(fused, crc32c(src, seed));
-    EXPECT_EQ(dst, src);
-  }
-}
-
-TEST(Crc32c, FusedCopyHardwareAgreesWithSoftware) {
-  if (!detail::crc32c_hw_available()) {
-    GTEST_SKIP() << "no CRC32C instruction on this host";
-  }
-  Rng rng(4);
-  for (int round = 0; round < 32; ++round) {
-    const std::size_t size = rng.next_below(2000) + 1;
-    const std::vector<std::byte> src = random_bytes(size, 300 + round);
-    std::vector<std::byte> hw_dst(size), sw_dst(size);
-    const auto seed = static_cast<std::uint32_t>(rng.next_below(1u << 31));
-    const std::uint32_t hw =
-        detail::copy_and_crc32c_hw(hw_dst.data(), src.data(), size, seed);
-    const std::uint32_t sw =
-        detail::copy_and_crc32c_sw(sw_dst.data(), src.data(), size, seed);
-    EXPECT_EQ(hw, sw);
-    EXPECT_EQ(hw_dst, sw_dst);
-    EXPECT_EQ(hw_dst, src);
-  }
-}
-
-
-// Lengths around the x86 kernels' 3-lane block boundary (the random
+// Lengths around the x86 kernel's 3-lane block boundary (the random
 // agreement tests above stay below one block), from unaligned starts and
-// with the seed threaded through a split, for both kernels.
+// with the seed threaded through a split.
 TEST(Crc32c, LaneBoundaryLengthsAgreeWithSoftware) {
   constexpr std::size_t kL = detail::kCrc32cLane;
   const std::size_t lengths[] = {0,          1,          3 * kL - 1,
@@ -125,20 +91,8 @@ TEST(Crc32c, LaneBoundaryLengthsAgreeWithSoftware) {
       EXPECT_EQ(crc32c(span.subspan(cut), crc32c(span.first(cut), seed)),
                 want)
           << "chained, n=" << n << " skip=" << skip;
-
-      std::vector<std::byte> dst(n + 3, std::byte{0xAA});
-      EXPECT_EQ(copy_and_crc32c(dst.data() + 3, span, seed), want)
-          << "fused, n=" << n << " skip=" << skip;
-      EXPECT_EQ(std::memcmp(dst.data() + 3, span.data(), n), 0)
-          << "fused copy, n=" << n << " skip=" << skip;
-      EXPECT_EQ(std::to_integer<int>(dst[0]), 0xAA);
       if (detail::crc32c_hw_available()) {
         EXPECT_EQ(detail::crc32c_hw(span, seed), want);
-        std::vector<std::byte> hw_dst(n + 1);
-        EXPECT_EQ(detail::copy_and_crc32c_hw(hw_dst.data() + 1, span.data(),
-                                             n, seed),
-                  want);
-        EXPECT_EQ(std::memcmp(hw_dst.data() + 1, span.data(), n), 0);
       }
     }
   }

@@ -268,6 +268,47 @@ TEST(FaultInjection, RecvForTimesOutOnSilentLivePeer) {
   EXPECT_TRUE(universe.failed_ranks().empty());
 }
 
+// A live rank that only drains messages which have already arrived must
+// keep its heartbeat fresh. Each of rank 1's recv_for calls completes at
+// once (the first pass drains the ring, later calls match the unexpected
+// queue at post time), so unless wait_for beats on entry rank 1 stays
+// silent for two leases while rank 0 waits on its reply, and rank 0
+// wrongly convicts it.
+TEST(FaultInjection, DrainingAlreadyArrivedMessagesKeepsTheLease) {
+  constexpr auto kLease = 100ms;
+  constexpr int kMessages = 8;
+  constexpr int kReplyTag = 100;
+  UniverseConfig cfg = fault_config();
+  cfg.failure_lease = kLease;
+  cfg.ring_cells = 16;  // every message fits before rank 1 drains any
+  Universe universe(cfg);
+
+  universe.run([&](RankCtx& ctx) {
+    Session mpi(ctx);
+    std::byte token{0x5a};
+    if (ctx.rank() == 0) {
+      for (int tag = 0; tag < kMessages; ++tag) {
+        check_ok(mpi.send(1, tag, {&token, 1}));
+      }
+      ctx.barrier();
+      const auto r = mpi.recv_for(1, kReplyTag, {&token, 1}, 5000ms);
+      EXPECT_TRUE(r.is_ok()) << r.status().message();
+      EXPECT_TRUE(mpi.failed_ranks().empty());
+    } else {
+      ctx.barrier();  // all kMessages are in the ring from here on
+      // kMessages * kLease / 4 = two leases of draining.
+      for (int tag = 0; tag < kMessages; ++tag) {
+        std::this_thread::sleep_for(kLease / 4);
+        const auto r = mpi.recv_for(0, tag, {&token, 1}, 5000ms);
+        EXPECT_TRUE(r.is_ok()) << r.status().message();
+      }
+      check_ok(mpi.send(0, kReplyTag, {&token, 1}));
+    }
+  });
+
+  EXPECT_TRUE(universe.failed_ranks().empty());
+}
+
 TEST(FaultInjection, SsendForReportsPeerFailedWhenReceiverDies) {
   UniverseConfig cfg = fault_config();
   cfg.fault_plan.crash_at_sync.push_back(
