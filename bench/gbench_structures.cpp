@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) of the data structures on
 // the cMPI hot paths: the multi-level hash, the SPSC ring's functional
-// operations, the per-node cache simulator (including the bulk NT paths),
-// the CRC32C kernels, and the slotted bandwidth server. These measure real host CPU cost (the simulator's own speed),
+// operations, the per-node cache simulator (including the bulk NT paths and
+// cold line fills), the CRC32C kernels, and the slotted bandwidth server.
+// These measure real host CPU cost (the simulator's own speed),
 // complementing the virtual-time figure benches.
 #include <benchmark/benchmark.h>
 
@@ -136,6 +137,34 @@ void BM_CacheSimNtLoad(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_CacheSimNtLoad)->Arg(64 << 10)->Arg(4 << 20);
+
+// Line-fill host cost: a 64 KiB cached read of cold lines into a full node
+// cache, i.e. 1024 fills, each evicting a line. With ->Threads(2) two nodes,
+// each with its own cache and its own half of one shared device, fill at
+// once, so their pool copies meet on the device's copy locks.
+void BM_CacheSimColdRead(benchmark::State& state) {
+  static const auto device = check_ok(cxlsim::DaxDevice::create(64_MiB));
+  const std::uint64_t half = device->size() / 2;
+  const std::uint64_t base =
+      static_cast<std::uint64_t>(state.thread_index()) * half;
+  cxlsim::CacheSim cache(*device);
+  std::vector<std::byte> out(64_KiB);
+  std::uint64_t at = 0;
+  const auto next_read = [&] {
+    cache.read(base + at, out);
+    at = (at + out.size()) % half;  // 512 reads before a range returns
+  };
+  for (std::uint64_t filled = 0; filled < 2_MiB; filled += out.size()) {
+    next_read();  // fill the 1 MiB cache, so every later fill evicts
+  }
+  for (auto _ : state) {
+    next_read();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_CacheSimColdRead)->Threads(1)->Threads(2);
 
 void BM_Crc32c(benchmark::State& state) {
   std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)));

@@ -103,21 +103,10 @@ void CacheSim::for_each_cached_line(std::uint64_t offset, std::size_t size,
   }
 }
 
-void CacheSim::pool_read(std::uint64_t offset, std::span<std::byte> dst) {
-  DaxDevice::PoolGuard guard(device_);
-  std::memcpy(dst.data(), device_.pool().data() + offset, dst.size());
-}
-
-void CacheSim::pool_write(std::uint64_t offset,
-                          std::span<const std::byte> src) {
-  DaxDevice::PoolGuard guard(device_);
-  std::memcpy(device_.pool().data() + offset, src.data(), src.size());
-}
-
 void CacheSim::writeback_line(Line& line) {
   CMPI_ASSERT(line.valid);
   if (line.dirty) {
-    pool_write(line.tag, {line.data, kCacheLineSize});
+    device_.copy_in(line.tag, {line.data, kCacheLineSize});
     line.dirty = false;
     ++stats_.writebacks;
     if (CoherenceChecker* chk = device_.checker()) {
@@ -152,14 +141,14 @@ CacheSim::Line& CacheSim::fill_line(std::uint64_t line_offset) {
   ++page_lines_[line_offset / kPageSize];
   victim->dirty = false;
   victim->lru = ++lru_clock_;
-  pool_read(line_offset, {victim->data, kCacheLineSize});
+  device_.copy_out(line_offset, {victim->data, kCacheLineSize});
   ++stats_.misses;
   return *victim;
 }
 
 CacheSim::ReadResult CacheSim::read(std::uint64_t offset,
                                    std::span<std::byte> dst) {
-  CMPI_EXPECTS(offset + dst.size() <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, dst.size()));
   bi_acquire_range(offset, dst.size(), /*for_write=*/false);
   std::lock_guard lock(mutex_);
   ReadResult result;
@@ -189,7 +178,7 @@ CacheSim::ReadResult CacheSim::read(std::uint64_t offset,
 }
 
 void CacheSim::write(std::uint64_t offset, std::span<const std::byte> src) {
-  CMPI_EXPECTS(offset + src.size() <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, src.size()));
   bi_acquire_range(offset, src.size(), /*for_write=*/true);
   std::lock_guard lock(mutex_);
   std::size_t done = 0;
@@ -230,7 +219,7 @@ void CacheSim::memset(std::uint64_t offset, std::byte value,
 
 CacheSim::FlushResult CacheSim::clflush(std::uint64_t offset,
                                         std::size_t size) {
-  CMPI_EXPECTS(offset + size <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, size));
   std::lock_guard lock(mutex_);
   FlushResult result{};
   result.lines_touched = cache_lines_spanned(offset, size);
@@ -248,7 +237,7 @@ CacheSim::FlushResult CacheSim::clflush(std::uint64_t offset,
 }
 
 CacheSim::FlushResult CacheSim::clwb(std::uint64_t offset, std::size_t size) {
-  CMPI_EXPECTS(offset + size <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, size));
   std::lock_guard lock(mutex_);
   FlushResult result{};
   result.lines_touched = cache_lines_spanned(offset, size);
@@ -262,7 +251,7 @@ CacheSim::FlushResult CacheSim::clwb(std::uint64_t offset, std::size_t size) {
 }
 
 void CacheSim::nt_store(std::uint64_t offset, std::span<const std::byte> src) {
-  CMPI_EXPECTS(offset + src.size() <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, src.size()));
   bi_acquire_range(offset, src.size(), /*for_write=*/true);
   std::lock_guard lock(mutex_);
   // Evict any cached copies so the cache never shadows the NT data.
@@ -273,17 +262,17 @@ void CacheSim::nt_store(std::uint64_t offset, std::span<const std::byte> src) {
       chk->on_invalidate(this, line.tag);
     }
   });
-  pool_write(offset, src);
+  device_.copy_in(offset, src);
   if (CoherenceChecker* chk = device_.checker()) {
     chk->on_pool_write(this, offset, src.size());
   }
 }
 
 void CacheSim::nt_load(std::uint64_t offset, std::span<std::byte> dst) {
-  CMPI_EXPECTS(offset + dst.size() <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, dst.size()));
   bi_acquire_range(offset, dst.size(), /*for_write=*/false);
   std::lock_guard lock(mutex_);
-  pool_read(offset, dst);
+  device_.copy_out(offset, dst);
   if (CoherenceChecker* chk = device_.checker()) {
     chk->on_pool_read(this, offset, dst.size());
   }
@@ -302,7 +291,7 @@ void CacheSim::nt_load(std::uint64_t offset, std::span<std::byte> dst) {
 
 std::uint64_t CacheSim::nt_load_u64(std::uint64_t offset) {
   CMPI_EXPECTS(is_aligned(offset, sizeof(std::uint64_t)));
-  CMPI_EXPECTS(offset + sizeof(std::uint64_t) <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, sizeof(std::uint64_t)));
   const auto* cell = reinterpret_cast<const std::atomic<std::uint64_t>*>(
       device_.pool().data() + offset);
   const std::uint64_t value = cell->load(std::memory_order_acquire);
@@ -314,7 +303,7 @@ std::uint64_t CacheSim::nt_load_u64(std::uint64_t offset) {
 
 void CacheSim::nt_store_u64(std::uint64_t offset, std::uint64_t value) {
   CMPI_EXPECTS(is_aligned(offset, sizeof(std::uint64_t)));
-  CMPI_EXPECTS(offset + sizeof(std::uint64_t) <= device_.size());
+  CMPI_EXPECTS(device_.contains(offset, sizeof(std::uint64_t)));
   auto* cell = reinterpret_cast<std::atomic<std::uint64_t>*>(
       device_.pool().data() + offset);
   cell->store(value, std::memory_order_release);

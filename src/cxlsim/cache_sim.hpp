@@ -155,8 +155,6 @@ class CacheSim {
   template <typename Fn>
   void for_each_cached_line(std::uint64_t offset, std::size_t size, Fn&& fn);
   void writeback_line(Line& line);
-  void pool_read(std::uint64_t offset, std::span<std::byte> dst);
-  void pool_write(std::uint64_t offset, std::span<const std::byte> src);
   std::size_t set_index(std::uint64_t line_offset) const noexcept;
 
   DaxDevice& device_;

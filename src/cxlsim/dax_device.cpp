@@ -3,11 +3,13 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 
+#include "common/contracts.hpp"
 #include "common/log.hpp"
 #include "cxlsim/cache_sim.hpp"
 #include "cxlsim/coherence_checker.hpp"
@@ -84,7 +86,9 @@ Result<std::unique_ptr<DaxDevice>> DaxDevice::create(
   pthread_mutexattr_t attr;
   pthread_mutexattr_init(&attr);
   pthread_mutexattr_setpshared(&attr, PTHREAD_PROCESS_SHARED);
-  pthread_mutex_init(&ctrl->pool_mutex, &attr);
+  for (CopyStripe& stripe : ctrl->stripes) {
+    pthread_mutex_init(&stripe.mutex, &attr);
+  }
   pthread_mutexattr_destroy(&attr);
 
   log_info("cxlsim: created pooled device: %zu MiB, %u heads",
@@ -112,7 +116,9 @@ DaxDevice::DaxDevice(int pool_fd, std::byte* pool_base, std::size_t size,
 
 DaxDevice::~DaxDevice() {
   if (ctrl_ != nullptr) {
-    pthread_mutex_destroy(&ctrl_->pool_mutex);
+    for (CopyStripe& stripe : ctrl_->stripes) {
+      pthread_mutex_destroy(&stripe.mutex);
+    }
     munmap(ctrl_, sizeof(CtrlBlock));
   }
   if (ctrl_fd_ >= 0) {
@@ -128,7 +134,7 @@ DaxDevice::~DaxDevice() {
 
 Status DaxDevice::set_cacheability(std::uint64_t offset, std::uint64_t size,
                                    Cacheability type) {
-  if (size == 0 || offset + size > size_) {
+  if (size == 0 || !contains(offset, size)) {
     return status::invalid_argument("MTRR range outside the pool");
   }
   MtrrTable& table = ctrl_->mtrr;
@@ -144,6 +150,41 @@ Status DaxDevice::set_cacheability(std::uint64_t offset, std::uint64_t size,
   }
   table.ranges[table.count++] = {offset, size, type};
   return Status::ok();
+}
+
+template <typename Copy>
+void DaxDevice::for_each_page_locked(std::uint64_t offset, std::size_t size,
+                                     Copy&& copy) const {
+  CMPI_EXPECTS(contains(offset, size));
+  const std::uint64_t end = offset + size;
+  for (std::uint64_t at = offset; at < end;) {
+    // The piece ends at `next` rather than being min(size, page remainder)
+    // long: GCC bounds the latter by 4096 and expands the memcpy inline as
+    // `rep movs`, which doubles the cost of the 64 B line copies that make
+    // up most pool traffic.
+    const std::uint64_t next =
+        std::min(end, align_down(at, kCopyPageSize) + kCopyPageSize);
+    pthread_mutex_t* stripe =
+        &ctrl_->stripes[(at / kCopyPageSize) % kCopyStripes].mutex;
+    pthread_mutex_lock(stripe);
+    copy(at, at - offset, next - at);
+    pthread_mutex_unlock(stripe);
+    at = next;
+  }
+}
+
+void DaxDevice::copy_in(std::uint64_t offset, std::span<const std::byte> src) {
+  for_each_page_locked(offset, src.size(),
+                       [&](std::uint64_t at, std::size_t done, std::size_t n) {
+                         std::memcpy(pool_base_ + at, src.data() + done, n);
+                       });
+}
+
+void DaxDevice::copy_out(std::uint64_t offset, std::span<std::byte> dst) const {
+  for_each_page_locked(offset, dst.size(),
+                       [&](std::uint64_t at, std::size_t done, std::size_t n) {
+                         std::memcpy(dst.data() + done, pool_base_ + at, n);
+                       });
 }
 
 CoherenceChecker& DaxDevice::enable_coherence_checker() {

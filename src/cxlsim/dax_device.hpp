@@ -14,8 +14,8 @@
 //   * cross-host atomic read-modify-write — the accessor API offers none.
 //
 // A small control block (separate mapping, not part of the pool the Arena
-// manages) holds the process-shared lock that serializes bulk pool copies
-// and the MTRR-style cacheability registers.
+// manages) holds the process-shared lock stripes that pool copies take, one
+// 4 KiB page at a time, and the MTRR-style cacheability registers.
 #pragma once
 
 #include <pthread.h>
@@ -141,27 +141,42 @@ class DaxDevice {
     return fault_injector_.get();
   }
 
-  /// Serialize a bulk pool copy against other bulk copies. Process-shared.
-  /// u64-sized flag accesses use lock-free atomics instead and do not take
-  /// this lock.
-  class PoolGuard {
-   public:
-    explicit PoolGuard(DaxDevice& device) : mutex_(&device.ctrl_->pool_mutex) {
-      pthread_mutex_lock(mutex_);
-    }
-    ~PoolGuard() { pthread_mutex_unlock(mutex_); }
-    PoolGuard(const PoolGuard&) = delete;
-    PoolGuard& operator=(const PoolGuard&) = delete;
+  /// Whether [offset, offset + size) lies inside the pool (overflow-safe).
+  [[nodiscard]] bool contains(std::uint64_t offset,
+                              std::uint64_t size) const noexcept {
+    return size <= size_ && offset <= size_ - size;
+  }
 
-   private:
-    pthread_mutex_t* mutex_;
-  };
+  /// Copy `src` into the pool at `offset` / the pool at `offset` into
+  /// `dst`. Thread- and process-safe: the range is copied one 4 KiB page
+  /// at a time, each page under its lock stripe, so copies of one page (and
+  /// so of one line) exclude each other; a copy spanning several pages is
+  /// not atomic as a whole, as on the hardware. u64-sized flag accesses use
+  /// lock-free atomics instead and take no stripe.
+  void copy_in(std::uint64_t offset, std::span<const std::byte> src);
+  void copy_out(std::uint64_t offset, std::span<std::byte> dst) const;
+
+  /// Copy-lock granularity: pool page p (kCopyPageSize bytes) is copied
+  /// under stripe p % kCopyStripes.
+  static constexpr std::size_t kCopyPageSize = 4096;
+  static constexpr std::size_t kCopyStripes = 64;
 
  private:
+  /// One process-shared lock on its own cache line.
+  struct alignas(kCacheLineSize) CopyStripe {
+    pthread_mutex_t mutex;
+  };
   struct CtrlBlock {
-    pthread_mutex_t pool_mutex;
+    std::array<CopyStripe, kCopyStripes> stripes;
     MtrrTable mtrr;
   };
+
+  /// Calls copy(at, done, n) for each page-bounded piece of
+  /// [offset, offset + size), holding that page's stripe. Stripes are leaf
+  /// locks: one is held at a time.
+  template <typename Copy>
+  void for_each_page_locked(std::uint64_t offset, std::size_t size,
+                            Copy&& copy) const;
 
   DaxDevice(int pool_fd, std::byte* pool_base, std::size_t size, int ctrl_fd,
             CtrlBlock* ctrl, unsigned heads, const CxlTimingParams& timing);

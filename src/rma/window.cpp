@@ -180,7 +180,7 @@ void Window::annotate_epoch_puts() {
 
 void Window::put(int target, std::uint64_t disp,
                  std::span<const std::byte> data) {
-  CMPI_EXPECTS(disp + data.size() <= win_size_);
+  CMPI_EXPECTS(in_window(disp, data.size()));
   CMPI_OBS_COUNT("rma.put_bytes", data.size());
   CMPI_OBS_INSTANT_ARG("rma.put", "bytes", data.size());
   ctx_->charge_mpi_overhead();
@@ -191,7 +191,7 @@ void Window::put(int target, std::uint64_t disp,
 }
 
 void Window::get(int target, std::uint64_t disp, std::span<std::byte> out) {
-  CMPI_EXPECTS(disp + out.size() <= win_size_);
+  CMPI_EXPECTS(in_window(disp, out.size()));
   CMPI_OBS_COUNT("rma.get_bytes", out.size());
   CMPI_OBS_INSTANT_ARG("rma.get", "bytes", out.size());
   ctx_->charge_mpi_overhead();
@@ -200,7 +200,7 @@ void Window::get(int target, std::uint64_t disp, std::span<std::byte> out) {
 
 void Window::accumulate(int target, std::uint64_t disp,
                         std::span<const double> values, AccumulateOp op) {
-  CMPI_EXPECTS(disp + values.size() * sizeof(double) <= win_size_);
+  CMPI_EXPECTS(in_window(disp, values.size() * sizeof(double)));
   ctx_->charge_mpi_overhead();
   const std::uint64_t at = segment_offset(target) + disp;
   std::vector<double> current(values.size());
@@ -231,7 +231,7 @@ void Window::get_accumulate(int target, std::uint64_t disp,
                             std::span<const double> values,
                             std::span<double> result, AccumulateOp op) {
   CMPI_EXPECTS(values.size() == result.size());
-  CMPI_EXPECTS(disp + values.size() * sizeof(double) <= win_size_);
+  CMPI_EXPECTS(in_window(disp, values.size() * sizeof(double)));
   ctx_->charge_mpi_overhead();
   const std::uint64_t at = segment_offset(target) + disp;
   ctx_->acc().bulk_read(at, std::as_writable_bytes(result));
@@ -260,7 +260,7 @@ void Window::get_accumulate(int target, std::uint64_t disp,
 std::uint64_t Window::fetch_and_op_u64(int target, std::uint64_t disp,
                                        std::uint64_t operand,
                                        AccumulateOp op) {
-  CMPI_EXPECTS(disp + sizeof(std::uint64_t) <= win_size_);
+  CMPI_EXPECTS(in_window(disp, sizeof(std::uint64_t)));
   CMPI_EXPECTS(op == AccumulateOp::kSum || op == AccumulateOp::kReplace);
   ctx_->charge_mpi_overhead();
   const std::uint64_t at = segment_offset(target) + disp;
@@ -273,12 +273,12 @@ std::uint64_t Window::fetch_and_op_u64(int target, std::uint64_t disp,
 }
 
 void Window::write_local(std::uint64_t disp, std::span<const std::byte> data) {
-  CMPI_EXPECTS(disp + data.size() <= win_size_);
+  CMPI_EXPECTS(in_window(disp, data.size()));
   ctx_->acc().coherent_write(segment_offset(rank()) + disp, data);
 }
 
 void Window::read_local(std::uint64_t disp, std::span<std::byte> out) {
-  CMPI_EXPECTS(disp + out.size() <= win_size_);
+  CMPI_EXPECTS(in_window(disp, out.size()));
   ctx_->acc().coherent_read(segment_offset(rank()) + disp, out);
 }
 

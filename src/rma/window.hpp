@@ -173,6 +173,11 @@ class Window {
          std::size_t win_size, arena::ObjectHandle handle, int group_rank,
          int group_size, std::function<void()> group_barrier);
 
+  /// Whether [disp, disp + n) lies inside a segment (overflow-safe).
+  [[nodiscard]] bool in_window(std::uint64_t disp,
+                               std::uint64_t n) const noexcept {
+    return n <= win_size_ && disp <= win_size_ - n;
+  }
   [[nodiscard]] std::uint64_t post_flag(int origin, int target) const;
   [[nodiscard]] std::uint64_t complete_flag(int target, int origin) const;
   void wait_count_at_least(std::uint64_t flag_offset, std::uint64_t target);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -391,6 +393,119 @@ TEST_F(CacheSimTest, RangeOpsMatchShadowModelUnderEvictions) {
     ASSERT_EQ(pool(i), view[i]) << "byte " << i;
   }
   EXPECT_GT(tiny.stats().evictions, 100u);
+}
+
+// Pool copies lock one 4 KiB page's stripe at a time. Writers NT-store
+// whole-line stamps over ranges that cross page boundaries (two of them 64
+// pages apart, so on the same stripes) while readers NT-load and cached-read
+// the same ranges from both nodes: every line a reader sees must come from
+// one write, and the pool must end with each line's last write.
+TEST_F(CacheSimTest, ConcurrentPoolCopiesNeverTearALine) {
+  constexpr std::uint64_t kPage = DaxDevice::kCopyPageSize;
+  constexpr std::uint64_t kStripeCycle = kPage * DaxDevice::kCopyStripes;
+  struct Range {
+    std::uint64_t offset;
+    std::size_t lines;
+  };
+  const Range ranges[] = {{kPage - 2 * kCacheLineSize, 4},
+                          {kStripeCycle + kPage - 2 * kCacheLineSize, 4},
+                          {10 * kPage - kCacheLineSize, 5}};
+  constexpr int kWriters = 2;
+  constexpr std::uint64_t kIterations = 1500;
+  constexpr std::size_t kWords = kCacheLineSize / sizeof(std::uint64_t);
+  const auto stamp = [](int writer, std::uint64_t iteration) {
+    return (static_cast<std::uint64_t>(writer + 1) << 32) | iteration;
+  };
+  CacheSim* nodes[] = {node_a_.get(), node_b_.get()};
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> lines_seen{0};
+  const auto check_lines = [&](const std::vector<std::uint64_t>& words) {
+    for (std::size_t at = 0; at < words.size(); at += kWords) {
+      for (std::size_t w = 1; w < kWords; ++w) {
+        if (words[at + w] != words[at]) {
+          torn.fetch_add(1);
+          break;
+        }
+      }
+      lines_seen.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int writer = 0; writer < kWriters; ++writer) {
+    threads.emplace_back([&, writer] {
+      for (std::uint64_t it = 1; it <= kIterations; ++it) {
+        for (const Range& r : ranges) {
+          const std::vector<std::uint64_t> words(r.lines * kWords,
+                                                 stamp(writer, it));
+          nodes[writer]->nt_store(r.offset, std::as_bytes(std::span(words)));
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int reader = 0; reader < 2; ++reader) {
+    threads.emplace_back([&, reader] {
+      CacheSim& node = *nodes[reader];
+      do {
+        for (const Range& r : ranges) {
+          std::vector<std::uint64_t> words(r.lines * kWords);
+          const auto out = std::as_writable_bytes(std::span(words));
+          if (reader == 0) {
+            node.nt_load(r.offset, out);
+          } else {
+            node.read(r.offset, out);
+            node.clflush(r.offset, out.size());
+          }
+          check_lines(words);
+        }
+      } while (writers_left.load() > 0);
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+
+  EXPECT_EQ(torn.load(), 0u) << "of " << lines_seen.load() << " lines";
+  for (const Range& r : ranges) {
+    for (std::size_t line = 0; line < r.lines; ++line) {
+      std::uint64_t words[kWords];
+      std::memcpy(words, device_->pool().data() + r.offset +
+                             line * kCacheLineSize,
+                  sizeof words);
+      EXPECT_TRUE(words[0] == stamp(0, kIterations) ||
+                  words[0] == stamp(1, kIterations))
+          << "range at " << r.offset << " line " << line;
+      for (const std::uint64_t word : words) {
+        EXPECT_EQ(word, words[0]);
+      }
+    }
+  }
+}
+
+TEST_F(CacheSimTest, PoolCopySpanningMoreThanAStripeCycleRoundTrips) {
+  const std::uint64_t offset = 3 * DaxDevice::kCopyPageSize + 13;
+  const std::size_t size =
+      (DaxDevice::kCopyStripes + 6) * DaxDevice::kCopyPageSize + 77;
+  Rng rng(7);
+  std::vector<std::byte> data(size);
+  for (std::byte& b : data) {
+    b = static_cast<std::byte>(rng.next_below(256));
+  }
+  device_->copy_in(offset, data);
+  std::vector<std::byte> back(size);
+  device_->copy_out(offset, back);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(std::to_integer<int>(pool_at(offset - 1)), 0);
+  EXPECT_EQ(std::to_integer<int>(pool_at(offset + size)), 0);
+
+  // The same range through the node cache's NT path.
+  std::reverse(data.begin(), data.end());
+  node_a_->nt_store(offset, data);
+  node_b_->nt_load(offset, back);
+  EXPECT_EQ(back, data);
 }
 
 }  // namespace

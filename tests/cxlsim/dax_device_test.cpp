@@ -81,6 +81,12 @@ TEST(DaxDevice, MtrrRejectsOutOfRange) {
             ErrorCode::kInvalidArgument);
   EXPECT_EQ(device->set_cacheability(0, 0, Cacheability::kUncachable).code(),
             ErrorCode::kInvalidArgument);
+  // offset + size wraps to 64, which is inside the pool.
+  EXPECT_EQ(device
+                ->set_cacheability(128, ~std::uint64_t{0} - 63,
+                                   Cacheability::kUncachable)
+                .code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(DaxDevice, HeadsAreReported) {

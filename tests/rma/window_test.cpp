@@ -49,6 +49,25 @@ TEST(Window, WinSizeRoundsToCacheline) {
   });
 }
 
+// disp + size wraps past 2^64 to a value inside the window; the range check
+// must still reject the put instead of letting it write the origin's own
+// segment.
+TEST(WindowDeathTest, PutWithWrappingDisplacementIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        runtime::Universe universe(small_config(2, 1));
+        universe.run([&](runtime::RankCtx& ctx) {
+          Window win = Window::create(ctx, "wrap", 4096);
+          if (ctx.rank() == 0) {
+            win.put(1, ~std::uint64_t{0} - 63, pattern(64, 1));
+          }
+          win.free();
+        });
+      },
+      "precondition");
+}
+
 TEST(Window, PutWithPscwDeliversData) {
   runtime::Universe universe(small_config(2, 1));
   universe.run([&](runtime::RankCtx& ctx) {
